@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/routing"
@@ -50,7 +51,14 @@ func (ab AB) Plan(m *topology.Mesh, src topology.NodeID) (*Plan, error) {
 
 // planMesh is the unwrapped-mesh construction.
 func (ab AB) planMesh(m *topology.Mesh, src topology.NodeID) (*Plan, error) {
-	p := &Plan{Algorithm: ab.Name(), Source: src, Steps: ab.StepsFor(m)}
+	planes := 1
+	if m.NDims() == 3 {
+		planes = m.Dim(2)
+	}
+	// Up to two step-1 worms, four Z relays and two half-floods per
+	// plane. The paths cover every node about once; an east-side
+	// flood revisits its west leg, under one row per plane.
+	b := newPlanBuilder(ab.Name(), src, ab.StepsFor(m), 2*planes+6, m.Nodes()+planes*m.Dim(0)+4)
 
 	n0, n1 := m.NearestCornerInPlane(src, 0, 1)
 
@@ -60,56 +68,48 @@ func (ab AB) planMesh(m *topology.Mesh, src topology.NodeID) (*Plan, error) {
 	case n0 == n1:
 		// Degenerate 1xN or Nx1 plane: a single corner.
 		if src != n0 {
-			p.Sends = append(p.Sends, Send{Step: 1, Adaptive: true, Path: core.ChainPath(src, n0)})
+			b.chain(1, src, true, n0)
 		}
 	case src == n0:
-		p.Sends = append(p.Sends, Send{Step: 1, Adaptive: true, Path: core.ChainPath(src, n1)})
+		b.chain(1, src, true, n1)
 	case src == n1:
-		p.Sends = append(p.Sends, Send{Step: 1, Adaptive: true, Path: core.ChainPath(src, n0)})
+		b.chain(1, src, true, n0)
 	case wf.SegmentLegal(src, n0, n1):
-		path := core.ChainPath(src, n0, n1)
-		path.Relays = map[int]bool{0: true}
-		p.Sends = append(p.Sends, Send{Step: 1, Adaptive: true, Path: path})
+		b.chain(1, src, true, n0, n1).Path.Relays = 1 << 0 // n0 relays in step 2
 	default:
-		p.Sends = append(p.Sends,
-			Send{Step: 1, Adaptive: true, Path: core.ChainPath(src, n0)},
-			Send{Step: 1, Adaptive: true, Path: core.ChainPath(src, n1)},
-		)
+		b.chain(1, src, true, n0)
+		b.chain(1, src, true, n1)
 	}
 
 	// Step 2 (3D only): corners relay along Z to every other plane.
 	if m.NDims() == 3 && m.Dim(2) > 1 {
 		sz := m.CoordAxis(src, 2)
-		corners := []topology.NodeID{n0}
-		if n1 != n0 {
-			corners = append(corners, n1)
+		corners := []topology.NodeID{n0, n1}
+		if n1 == n0 {
+			corners = corners[:1]
 		}
 		for _, corner := range corners {
 			if sz < m.Dim(2)-1 {
-				p.Sends = append(p.Sends, Send{Step: 2, Adaptive: true,
-					Path: core.LinePath(m, corner, 2, m.Dim(2)-1)})
+				b.arena = core.AppendLine(b.arena, m, corner, 2, m.Dim(2)-1)
+				b.send(2, corner, true)
 			}
 			if sz > 0 {
-				p.Sends = append(p.Sends, Send{Step: 2, Adaptive: true,
-					Path: core.LinePath(m, corner, 2, 0)})
+				b.arena = core.AppendLine(b.arena, m, corner, 2, 0)
+				b.send(2, corner, true)
 			}
 		}
 	}
 
 	// Step 3: in every plane, each corner floods its half.
-	planes := 1
-	if m.NDims() == 3 {
-		planes = m.Dim(2)
-	}
 	for z := 0; z < planes; z++ {
 		cz0 := ab.inPlane(m, n0, z)
 		cz1 := ab.inPlane(m, n1, z)
-		ab.halfFlood(p, m, cz0)
+		ab.halfFlood(b, m, cz0)
 		if cz1 != cz0 {
-			ab.halfFlood(p, m, cz1)
+			ab.halfFlood(b, m, cz1)
 		}
 	}
-	return p, nil
+	return b.finish(), nil
 }
 
 // inPlane returns the node with corner's XY coordinates in plane z.
@@ -131,7 +131,7 @@ func (AB) inPlane(m *topology.Mesh, corner topology.NodeID, z int) topology.Node
 //   - the east-side corner first runs a pure-west leg along its own
 //     row to the half's west edge, then snakes back east the same way
 //     (all west hops precede every other hop).
-func (AB) halfFlood(p *Plan, m *topology.Mesh, corner topology.NodeID) {
+func (AB) halfFlood(b *planBuilder, m *topology.Mesh, corner topology.NodeID) {
 	X, Y := m.Dim(0), m.Dim(1)
 	split := (X + 1) / 2 // low half is [0, split), high half [split, X)
 	cx := m.CoordAxis(corner, 0)
@@ -146,38 +146,27 @@ func (AB) halfFlood(p *Plan, m *topology.Mesh, corner topology.NodeID) {
 		return // the half contains only the corner itself
 	}
 
-	var path *core.CodedPath
 	switch {
 	case Y == 1:
 		stop := lo
 		if cx == lo {
 			stop = hi
 		}
-		path = core.LinePath(m, corner, 0, stop)
+		b.arena = core.AppendLine(b.arena, m, corner, 0, stop)
 	case cx == lo:
 		// West-side corner: ±y sweeps, +x steps — west-first legal.
-		path = core.SnakePath(m, corner, 1, 0, 0, Y-1, lo, hi)
+		b.arena = core.AppendSnake(b.arena, m, corner, 1, 0, 0, Y-1, lo, hi)
 	default:
 		// East-side corner: west leg to the half's west edge, then a
 		// snake of ±y sweeps and +x steps, skipping the corner node.
-		path = &core.CodedPath{Source: corner}
-		coord := m.Coord(corner)
-		for x := cx - 1; x >= lo; x-- {
-			coord[0] = x
-			path.Waypoints = append(path.Waypoints, m.ID(coord...))
-		}
-		coord[0] = lo
-		edge := m.ID(coord...)
-		snake := core.SnakePath(m, edge, 1, 0, 0, Y-1, lo, hi)
-		for _, w := range snake.Waypoints {
-			if w == corner {
-				continue // the worm's own source needs no delivery
-			}
-			path.Waypoints = append(path.Waypoints, w)
+		b.arena = core.AppendLine(b.arena, m, corner, 0, lo)
+		edge := b.arena[len(b.arena)-1]
+		from := len(b.arena)
+		b.arena = core.AppendSnake(b.arena, m, edge, 1, 0, 0, Y-1, lo, hi)
+		// The worm's own source needs no delivery.
+		if i := slices.Index(b.arena[from:], corner); i >= 0 {
+			b.arena = slices.Delete(b.arena, from+i, from+i+1)
 		}
 	}
-	if path == nil || len(path.Waypoints) == 0 {
-		return
-	}
-	p.Sends = append(p.Sends, Send{Step: 3, Adaptive: true, Path: path})
+	b.send(3, corner, true)
 }

@@ -52,9 +52,12 @@ func (db DB) Plan(m *topology.Mesh, src topology.NodeID) (*Plan, error) {
 
 // planMesh is the unwrapped-mesh construction.
 func (db DB) planMesh(m *topology.Mesh, src topology.NodeID) (*Plan, error) {
-	p := &Plan{Algorithm: db.Name(), Source: src, Steps: db.StepsFor(m)}
-
+	// Two corner sends, two face floods and one interior sweep per
+	// face node; the paths cover every node about once.
 	X := m.Dim(0)
+	face := m.Nodes() / X
+	b := newPlanBuilder(db.Name(), src, db.StepsFor(m), 2*face+4, m.Nodes()+2)
+
 	c0, c1 := nearestAndOppositeCorner(m, src)
 
 	// Corner delivery steps. The source's two corner sends occupy its
@@ -65,15 +68,13 @@ func (db DB) planMesh(m *topology.Mesh, src topology.NodeID) (*Plan, error) {
 	case src == c0 && src == c1: // 1x…x1 mesh
 	case src == c0:
 		c1Step = 1
-		p.Sends = append(p.Sends, Send{Step: 1, Path: core.ChainPath(src, c1)})
+		b.chain(1, src, false, c1)
 	case src == c1:
-		p.Sends = append(p.Sends, Send{Step: 1, Path: core.ChainPath(src, c0)})
+		b.chain(1, src, false, c0)
 	default:
 		c1Step = 2
-		p.Sends = append(p.Sends,
-			Send{Step: 1, Path: core.ChainPath(src, c0)},
-			Send{Step: 2, Path: core.ChainPath(src, c1)},
-		)
+		b.chain(1, src, false, c0)
+		b.chain(2, src, false, c1)
 	}
 
 	// Face floods: each anchor corner covers its own x-face the step
@@ -84,13 +85,11 @@ func (db DB) planMesh(m *topology.Mesh, src topology.NodeID) (*Plan, error) {
 	if src == c1 {
 		c1FaceStep = 2 // after the source's step-1 corner send
 	}
-	if face := db.facePath(m, c0); face != nil {
-		p.Sends = append(p.Sends, Send{Step: c0FaceStep, Path: face})
-	}
+	b.arena = db.appendFace(b.arena, m, c0)
+	b.send(c0FaceStep, c0, false)
 	if X > 1 {
-		if face := db.facePath(m, c1); face != nil {
-			p.Sends = append(p.Sends, Send{Step: c1FaceStep, Path: face})
-		}
+		b.arena = db.appendFace(b.arena, m, c1)
+		b.send(c1FaceStep, c1, false)
 	}
 
 	// Interior sweeps: each face covers the interior half nearer to
@@ -108,16 +107,18 @@ func (db DB) planMesh(m *topology.Mesh, src topology.NodeID) (*Plan, error) {
 			farLo, farHi = 1, X-2-nearCount
 		}
 		for _, from := range m.Plane(0, x0) {
-			p.Sends = append(p.Sends, Send{Step: c0FaceStep + 1, Path: core.SegmentPath(m, from, 0, nearLo, nearHi)})
+			b.arena = core.AppendSegment(b.arena, m, from, 0, nearLo, nearHi)
+			b.send(c0FaceStep+1, from, false)
 		}
 		if farLo <= farHi {
 			x1 := m.CoordAxis(c1, 0)
 			for _, from := range m.Plane(0, x1) {
-				p.Sends = append(p.Sends, Send{Step: c1FaceStep + 1, Path: core.SegmentPath(m, from, 0, farLo, farHi)})
+				b.arena = core.AppendSegment(b.arena, m, from, 0, farLo, farHi)
+				b.send(c1FaceStep+1, from, false)
 			}
 		}
 	}
-	return p, nil
+	return b.finish(), nil
 }
 
 // nearestAndOppositeCorner returns DB's anchor corners for src: the
@@ -134,69 +135,27 @@ func (db DB) planMesh(m *topology.Mesh, src topology.NodeID) (*Plan, error) {
 // (top-load latency rose ~20% on 8×8×8), so the two canonical anchors
 // stay.
 func nearestAndOppositeCorner(m *topology.Mesh, src topology.NodeID) (near, opp topology.NodeID) {
-	nearC := make([]int, m.NDims())
-	oppC := make([]int, m.NDims())
-	k := m.Dim(0)
-	if m.CoordAxis(src, 0) <= (k-1)/2 {
-		nearC[0], oppC[0] = 0, k-1
-	} else {
-		nearC[0], oppC[0] = k-1, 0
+	// Node IDs along dimension 0 are consecutive, so the corner at
+	// x = k-1 with every other coordinate 0 is node k-1.
+	k := topology.NodeID(m.Dim(0))
+	if m.CoordAxis(src, 0) <= int(k-1)/2 {
+		return 0, k - 1
 	}
-	return m.ID(nearC...), m.ID(oppC...)
+	return k - 1, 0
 }
 
-// facePath returns the coded path flooding the x-face containing
-// corner, or nil when the face holds only the corner itself. In 3D
-// the face is swept with ±z columns advancing in +y slow steps; a
-// corner on the far y-side first runs a pure-south leg down its z=0
-// row, so every face worm's south hops precede all its other hops
-// (the same turn discipline AB's half-floods use), keeping the
-// combined path set acyclic.
-func (DB) facePath(m *topology.Mesh, corner topology.NodeID) *core.CodedPath {
-	switch m.NDims() {
-	case 2:
+// appendFace appends the waypoints of the coded path flooding the
+// x-face containing corner, which sits at y = z = 0 (an anchor from
+// nearestAndOppositeCorner); it appends nothing when the face holds
+// only the corner itself. In 3D the face is swept with ±z columns
+// advancing in +y slow steps.
+func (DB) appendFace(dst []topology.NodeID, m *topology.Mesh, corner topology.NodeID) []topology.NodeID {
+	if m.NDims() == 2 {
 		if m.Dim(1) <= 1 {
-			return nil
+			return dst
 		}
-		stop := m.Dim(1) - 1
-		if m.CoordAxis(corner, 1) == stop {
-			stop = 0
-		}
-		return core.LinePath(m, corner, 1, stop)
-	default: // 3D: (y, z) face
-		Y, Z := m.Dim(1), m.Dim(2)
-		if Y <= 1 && Z <= 1 {
-			return nil
-		}
-		cy := m.CoordAxis(corner, 1)
-		if cy == 0 {
-			path := core.SnakePath(m, corner, 2, 1, 0, Z-1, 0, Y-1)
-			if len(path.Waypoints) == 0 {
-				return nil
-			}
-			return path
-		}
-		// Far-y corner: south leg along z=0 to (x, 0, 0), then the
-		// canonical +y snake, skipping the corner node itself.
-		path := &core.CodedPath{Source: corner}
-		coord := m.Coord(corner)
-		coord[2] = 0
-		for y := cy - 1; y >= 0; y-- {
-			coord[1] = y
-			path.Waypoints = append(path.Waypoints, m.ID(coord...))
-		}
-		coord[1] = 0
-		edge := m.ID(coord...)
-		snake := core.SnakePath(m, edge, 2, 1, 0, Z-1, 0, Y-1)
-		for _, w := range snake.Waypoints {
-			if w == corner {
-				continue
-			}
-			path.Waypoints = append(path.Waypoints, w)
-		}
-		if len(path.Waypoints) == 0 {
-			return nil
-		}
-		return path
+		return core.AppendLine(dst, m, corner, 1, m.Dim(1)-1)
 	}
+	// 3D: (y, z) face.
+	return core.AppendSnake(dst, m, corner, 2, 1, 0, m.Dim(2)-1, 0, m.Dim(1)-1)
 }

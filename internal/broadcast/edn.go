@@ -2,8 +2,8 @@ package broadcast
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/core"
 	"repro/internal/topology"
 )
 
@@ -56,9 +56,12 @@ func (e EDN) Plan(m *topology.Mesh, src topology.NodeID) (*Plan, error) {
 	if m.NDims() != 3 {
 		return nil, fmt.Errorf("broadcast: EDN requires a 3D mesh, got %s", m.Name())
 	}
-	p := &Plan{Algorithm: e.Name(), Source: src, Steps: e.StepsFor(m)}
+	// EDN sends are unicasts that inform each node about once, so
+	// N-1 one-waypoint sends size the plan.
+	n := m.Nodes()
+	b := newPlanBuilder(e.Name(), src, e.StepsFor(m), n-1, n-1)
 
-	sc := m.Coord(src)
+	sc := [3]int{m.CoordAxis(src, 0), m.CoordAxis(src, 1), m.CoordAxis(src, 2)}
 	// Block-local offset of the source; leaders of other blocks sit
 	// at the same offset, clamped into truncated edge blocks.
 	off := [3]int{sc[0] % ednBlock, sc[1] % ednBlock, sc[2] % ednBlock}
@@ -86,20 +89,20 @@ func (e EDN) Plan(m *topology.Mesh, src topology.NodeID) (*Plan, error) {
 	// Phase 1a: quadrant doubling over the XY block grid at the
 	// source's Z block.
 	xyRounds := ceilLog2(max(grid[0], grid[1]))
-	e.quadDouble(p, m, leader, srcBlock, grid, 1, xyRounds)
+	e.quadDouble(b, leader, srcBlock, grid, 1, xyRounds)
 
 	// Phase 1b: recursive halving along Z for every XY block column.
 	zRounds := ceilLog2(grid[2])
 	zBase := 1 + xyRounds
 	for bx := 0; bx < grid[0]; bx++ {
 		for by := 0; by < grid[1]; by++ {
-			e.zHalve(p, leader, bx, by, 0, grid[2], srcBlock[2], zBase)
+			e.zHalve(b, leader, bx, by, 0, grid[2], srcBlock[2], zBase)
 		}
 	}
 
 	// Phase 2: 4-step fill of every block from its leader.
 	fillBase := zBase + zRounds
-	covered := make(map[topology.NodeID]bool)
+	covered := make([]bool, n)
 	for bx := 0; bx < grid[0]; bx++ {
 		for by := 0; by < grid[1]; by++ {
 			for bz := 0; bz < grid[2]; bz++ {
@@ -110,18 +113,18 @@ func (e EDN) Plan(m *topology.Mesh, src topology.NodeID) (*Plan, error) {
 					min(lo[1]+ednBlock, m.Dim(1)),
 					min(lo[2]+ednBlock, m.Dim(2)),
 				}
-				e.fillBox(p, m, root, lo, hi, fillBase, 2, covered)
+				e.fillBox(b, m, root, lo, hi, fillBase, 2, covered)
 			}
 		}
 	}
-	return p, nil
+	return b.finish(), nil
 }
 
 // quadDouble plans XY-plane quadrant doubling over the block grid:
 // each round every holder sends to the leaders at its own relative
 // position within the other quadrants of its rectangle (up to three
 // sends, all in the same step), then recurses into the quadrants.
-func (e EDN) quadDouble(p *Plan, m *topology.Mesh, leader func(bx, by, bz int) topology.NodeID,
+func (e EDN) quadDouble(b *planBuilder, leader func(bx, by, bz int) topology.NodeID,
 	srcBlock, grid [3]int, step, rounds int) {
 
 	bz := srcBlock[2]
@@ -165,7 +168,7 @@ func (e EDN) quadDouble(p *Plan, m *topology.Mesh, leader func(bx, by, bz int) t
 			}
 			to := leader(px, py, bz)
 			if to != from {
-				p.Sends = append(p.Sends, Send{Step: step, Path: core.ChainPath(from, to)})
+				b.chain(step, from, false, to)
 			}
 			rec(q.qx0, q.qx1, q.qy0, q.qy1, px, py, step+1)
 		}
@@ -175,7 +178,7 @@ func (e EDN) quadDouble(p *Plan, m *topology.Mesh, leader func(bx, by, bz int) t
 
 // zHalve plans recursive halving along the Z block column (bx, by)
 // over block range [lo, hi) with the holder at block zPos.
-func (e EDN) zHalve(p *Plan, leader func(bx, by, bz int) topology.NodeID,
+func (e EDN) zHalve(b *planBuilder, leader func(bx, by, bz int) topology.NodeID,
 	bx, by, lo, hi, zPos, step int) {
 	if hi-lo <= 1 {
 		return
@@ -199,25 +202,25 @@ func (e EDN) zHalve(p *Plan, leader func(bx, by, bz int) topology.NodeID,
 	from := leader(bx, by, zPos)
 	to := leader(bx, by, peer)
 	if to != from {
-		p.Sends = append(p.Sends, Send{Step: step, Path: core.ChainPath(from, to)})
+		b.chain(step, from, false, to)
 	}
 	if zPos < mid {
-		e.zHalve(p, leader, bx, by, lo, mid, zPos, step+1)
-		e.zHalve(p, leader, bx, by, mid, hi, peer, step+1)
+		e.zHalve(b, leader, bx, by, lo, mid, zPos, step+1)
+		e.zHalve(b, leader, bx, by, mid, hi, peer, step+1)
 	} else {
-		e.zHalve(p, leader, bx, by, mid, hi, zPos, step+1)
-		e.zHalve(p, leader, bx, by, lo, mid, peer, step+1)
+		e.zHalve(b, leader, bx, by, mid, hi, zPos, step+1)
+		e.zHalve(b, leader, bx, by, lo, mid, peer, step+1)
 	}
 }
 
 // fillBox plans the 4-step coverage of box [lo, hi) from root using
 // two levels of three-port mirror doubling. level counts remaining
 // levels (2 for a 4-wide box: halves of 2, then singletons).
-func (e EDN) fillBox(p *Plan, m *topology.Mesh, root topology.NodeID, lo, hi [3]int, step, level int, covered map[topology.NodeID]bool) {
+func (e EDN) fillBox(b *planBuilder, m *topology.Mesh, root topology.NodeID, lo, hi [3]int, step, level int, covered []bool) {
 	if level == 0 {
 		return
 	}
-	rc := m.Coord(root)
+	rc := [3]int{m.CoordAxis(root, 0), m.CoordAxis(root, 1), m.CoordAxis(root, 2)}
 	// Split each dimension at its ceil midpoint; mirror the root's
 	// position into the other half, clamped.
 	var mids, mirror [3]int
@@ -248,7 +251,7 @@ func (e EDN) fillBox(p *Plan, m *topology.Mesh, root topology.NodeID, lo, hi [3]
 		}
 		return m.ID(c[0], c[1], c[2])
 	}
-	reps := make([]topology.NodeID, 8)
+	var reps [8]topology.NodeID
 	for mask := 0; mask < 8; mask++ {
 		reps[mask] = rep(mask)
 	}
@@ -259,7 +262,7 @@ func (e EDN) fillBox(p *Plan, m *topology.Mesh, root topology.NodeID, lo, hi [3]
 			return
 		}
 		covered[to] = true
-		p.Sends = append(p.Sends, Send{Step: step, Path: core.ChainPath(from, to)})
+		b.chain(step, from, false, to)
 	}
 	covered[root] = true
 	addSend(step, root, reps[1])
@@ -270,14 +273,13 @@ func (e EDN) fillBox(p *Plan, m *topology.Mesh, root topology.NodeID, lo, hi [3]
 	addSend(step+1, reps[2], reps[6])
 	addSend(step+1, reps[4], reps[5])
 
-	// Recurse into each octant with its representative as root.
-	seen := make(map[topology.NodeID]bool)
+	// Recurse into each octant with its representative as root, once
+	// per distinct representative.
 	for mask := 0; mask < 8; mask++ {
 		r := reps[mask]
-		if seen[r] {
+		if slices.Contains(reps[:mask], r) {
 			continue
 		}
-		seen[r] = true
 		var olo, ohi [3]int
 		for d := 0; d < 3; d++ {
 			c := rc[d]
@@ -290,20 +292,6 @@ func (e EDN) fillBox(p *Plan, m *topology.Mesh, root topology.NodeID, lo, hi [3]
 				olo[d], ohi[d] = mids[d], hi[d]
 			}
 		}
-		e.fillBox(p, m, r, olo, ohi, step+2, level-1, covered)
+		e.fillBox(b, m, r, olo, ohi, step+2, level-1, covered)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

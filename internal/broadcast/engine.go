@@ -144,26 +144,29 @@ func Execute(net *network.Network, plan *Plan, opt Options) (*Result, error) {
 		}
 	}
 
-	// Sends grouped by source and ordered by step, so the port FIFO
-	// serialises them in step order. The grouping is precomputed on
-	// the plan and shared read-only across executions; a node triggers
-	// at most once per execution because deliver ignores duplicate
-	// arrivals and the source starts informed.
-	bySource := plan.sendIndex()
+	// Each node's sends are a contiguous, step-ordered run of the
+	// indexed plan, so the port FIFO serialises them in step order.
+	// The index is built once per plan and shared read-only across
+	// executions; a node triggers at most once per execution because
+	// deliver ignores duplicate arrivals and the source starts
+	// informed.
+	start := plan.index()
+	sends := plan.Sends
 
 	// One backing array holds the execution's transfers: in-flight
 	// worms reference entries until their tails drain, so the array
 	// lives exactly as long as the broadcast — one allocation instead
 	// of one per send.
-	transfers := make([]network.Transfer, len(plan.Sends))
+	transfers := make([]network.Transfer, len(sends))
 	nextTransfer := 0
 
 	var deliver func(node topology.NodeID, at sim.Time)
 	trigger := func(node topology.NodeID, at sim.Time) {
-		if int(node) >= len(bySource) {
+		if int(node)+1 >= len(start) {
 			return // node injects nothing
 		}
-		for _, s := range bySource[node] {
+		for i := start[node]; i < start[node+1]; i++ {
+			s := &sends[i]
 			sel := routing.Selector(nil)
 			if s.Adaptive {
 				sel = opt.Adaptive

@@ -1,7 +1,6 @@
 package broadcast
 
 import (
-	"repro/internal/core"
 	"repro/internal/topology"
 )
 
@@ -50,7 +49,8 @@ func planThroughFrame(m *topology.Mesh, src topology.NodeID,
 	return remapPlan(p, f), nil
 }
 
-// remapPlan translates a virtual-frame plan onto the physical torus.
+// remapPlan translates a virtual-frame plan onto the physical torus,
+// in place: the waypoints are rewritten inside the plan's own arena.
 // When the frame is the identity (the canonical anchor) the plan is
 // returned untouched; the general path keeps the machinery honest for
 // non-zero anchors used in tests.
@@ -60,16 +60,11 @@ func remapPlan(p *Plan, f *topology.Frame) *Plan {
 	}
 	p.Source = f.ToPhysical(p.Source)
 	for i := range p.Sends {
-		old := p.Sends[i].Path
-		path := &core.CodedPath{
-			Source:    f.ToPhysical(old.Source),
-			Waypoints: make([]topology.NodeID, len(old.Waypoints)),
-			Relays:    old.Relays,
-		}
-		for j, w := range old.Waypoints {
+		path := &p.Sends[i].Path
+		path.Source = f.ToPhysical(path.Source)
+		for j, w := range path.Waypoints {
 			path.Waypoints[j] = f.ToPhysical(w)
 		}
-		p.Sends[i].Path = path
 	}
 	return p
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -136,28 +135,20 @@ func (mc Multicast) planMesh(m *topology.Mesh, src topology.NodeID, dests []topo
 	sort.Slice(up, func(i, j int) bool { return SnakeRank(m, up[i]) < SnakeRank(m, up[j]) })
 	sort.Slice(down, func(i, j int) bool { return SnakeRank(m, down[i]) > SnakeRank(m, down[j]) })
 
-	p := &Plan{Algorithm: mc.Name(), Source: src, Steps: 1}
-	addChunks := func(ordered []topology.NodeID) {
-		limit := mc.MaxPerPath
-		if limit <= 0 {
-			limit = len(ordered)
-		}
+	limit := mc.MaxPerPath
+	if limit <= 0 {
+		limit = max(len(up), len(down), 1)
+	}
+	chunks := (len(up)+limit-1)/limit + (len(down)+limit-1)/limit
+	b := newPlanBuilder(mc.Name(), src, 1, chunks, len(up)+len(down))
+	for _, ordered := range [2][]topology.NodeID{up, down} {
 		for len(ordered) > 0 {
-			n := limit
-			if n > len(ordered) {
-				n = len(ordered)
-			}
-			chunk := ordered[:n]
+			n := min(limit, len(ordered))
+			b.chain(1, src, false, ordered[:n]...)
 			ordered = ordered[n:]
-			p.Sends = append(p.Sends, Send{
-				Step: 1,
-				Path: core.ChainPath(src, chunk...),
-			})
 		}
 	}
-	addChunks(up)
-	addChunks(down)
-	return p, nil
+	return b.finish(), nil
 }
 
 // RunMulticast plans and executes one multicast on an idle network

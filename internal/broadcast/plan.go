@@ -13,7 +13,6 @@ package broadcast
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/topology"
@@ -24,8 +23,10 @@ import (
 type Send struct {
 	// Step is the 1-based message-passing step this send belongs to.
 	Step int
-	// Path is the coded path: source, ordered delivery waypoints.
-	Path *core.CodedPath
+	// Path is the coded path, held by value: source, ordered delivery
+	// waypoints. In planner output the waypoints are a window of the
+	// plan's shared arena; treat them as read-only.
+	Path core.CodedPath
 	// Adaptive marks sends routed by the adaptive (turn-model)
 	// routing function instead of dimension-order.
 	Adaptive bool
@@ -39,123 +40,129 @@ type Plan struct {
 	Source topology.NodeID
 	// Steps is the number of message-passing steps.
 	Steps int
-	// Sends lists every planned message, in no particular order.
+	// Sends lists every planned message. Planners emit them in any
+	// order; Validate (or the first Execute) stably sorts them in
+	// place into (source, step) order, the order each node's ports
+	// serialise its sends in, and leaves them there.
 	Sends []Send
 
-	// bySource groups Sends by injecting node, each group sorted by
-	// step — the order the node's ports serialise them in. A plan is
-	// executed many times under contended and mixed workloads, so the
-	// grouping is computed once (in Validate, or lazily on first
-	// Execute) and shared read-only by every execution. Indexed by
-	// node id (dense, so a slice beats a map lookup on the delivery
-	// hot path); nodes that inject nothing hold nil.
-	bySource [][]Send
+	// start is the execution index, a CSR (compressed sparse row)
+	// over the sorted Sends: node v injects Sends[start[v]:start[v+1]].
+	// A plan is executed many times under contended and mixed
+	// workloads, so the index is built once (in Validate, or lazily on
+	// first Execute) and shared read-only by every execution. It has
+	// one entry per node up to the highest sending node, plus one.
+	start []int32
 }
 
-// sendsBySourceStep stable-sorts sends by (source, step); within one
-// source this yields the same sequence as grouping in Sends order and
-// stable-sorting each group by step. A concrete sort.Interface keeps
-// reflect (and its per-sort Swapper allocation) out of the path.
-type sendsBySourceStep []Send
-
-func (s sendsBySourceStep) Len() int      { return len(s) }
-func (s sendsBySourceStep) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-func (s sendsBySourceStep) Less(i, j int) bool {
-	if s[i].Path.Source != s[j].Path.Source {
-		return s[i].Path.Source < s[j].Path.Source
-	}
-	return s[i].Step < s[j].Step
+// planBuilder collects a plan's sends while their waypoints go into
+// one plan-wide arena, in emission order: each send's waypoints are
+// the arena run appended since the previous send. While the arena can
+// still grow and move, a run is recorded as its end offset; finish
+// slices every Path.Waypoints out of the final arena.
+type planBuilder struct {
+	p     *Plan
+	arena []topology.NodeID
+	ends  []int32
 }
 
-// sendsByStep stable-sorts sends by step only, preserving plan order
-// within a step — the causal-order walk Validate makes. A concrete
-// sort.Interface keeps reflect's Swapper and its typed memmoves out
-// of the per-plan path (stable sort output is unique, so the order is
-// identical to the sort.SliceStable it replaces). It is the fallback
-// for countingSortSends when a plan carries wild step values.
-type sendsByStep []Send
-
-func (s sendsByStep) Len() int           { return len(s) }
-func (s sendsByStep) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-func (s sendsByStep) Less(i, j int) bool { return s[i].Step < s[j].Step }
-
-// countingSortSends stable-sorts src into dst (same length, distinct
-// backing) by the integer key, using a counting scatter: steps and
-// node ids are small dense integers, so one O(n+k) pass replaces
-// sort.Stable's O(n log² n) symMerge on the per-plan path. Stable
-// sort output is unique, so the order is identical to sort.Stable's.
-// It reports false — dst untouched — when the key range is too wide
-// for counting to pay (only pathological hand-built plans).
-func countingSortSends(dst, src []Send, key func(*Send) int) bool {
-	if len(src) == 0 {
-		return true
+// newPlanBuilder starts a plan with room for sends sends carrying
+// waypoints waypoints in total. The hints only size the backing
+// arrays; exceeding them costs a reallocation, not correctness.
+func newPlanBuilder(algo string, src topology.NodeID, steps, sends, waypoints int) *planBuilder {
+	return &planBuilder{
+		p:     &Plan{Algorithm: algo, Source: src, Steps: steps, Sends: make([]Send, 0, sends)},
+		arena: make([]topology.NodeID, 0, waypoints),
+		ends:  make([]int32, 0, sends),
 	}
-	lo, hi := key(&src[0]), key(&src[0])
-	for i := 1; i < len(src); i++ {
-		k := key(&src[i])
-		if k < lo {
-			lo = k
-		} else if k > hi {
-			hi = k
+}
+
+// send records a send from src whose waypoints are the arena run
+// appended since the previous send, and returns it for annotation
+// (valid until the next send). A send with an empty run is dropped
+// and send returns nil.
+func (b *planBuilder) send(step int, src topology.NodeID, adaptive bool) *Send {
+	prev := int32(0)
+	if n := len(b.ends); n > 0 {
+		prev = b.ends[n-1]
+	}
+	if int(prev) == len(b.arena) {
+		return nil
+	}
+	b.ends = append(b.ends, int32(len(b.arena)))
+	b.p.Sends = append(b.p.Sends, Send{Step: step, Path: core.CodedPath{Source: src}, Adaptive: adaptive})
+	return &b.p.Sends[len(b.p.Sends)-1]
+}
+
+// chain records a send from src visiting the given stops in order.
+func (b *planBuilder) chain(step int, src topology.NodeID, adaptive bool, stops ...topology.NodeID) *Send {
+	b.arena = append(b.arena, stops...)
+	return b.send(step, src, adaptive)
+}
+
+// finish slices each send's waypoints out of the final arena, capped
+// so that no path can append into its neighbour's run.
+func (b *planBuilder) finish() *Plan {
+	lo := int32(0)
+	for i, hi := range b.ends {
+		b.p.Sends[i].Path.Waypoints = b.arena[lo:hi:hi]
+		lo = hi
+	}
+	return b.p
+}
+
+// index returns the plan's CSR send index, building it on first use:
+// Sends is stably sorted in place into (source, step) order. Not safe
+// for a concurrent first call; executions on one network are
+// single-threaded by design, and cached plans are indexed before they
+// are published.
+func (p *Plan) index() []int32 {
+	if p.start != nil {
+		return p.start
+	}
+	maxSrc := p.Source
+	for i := range p.Sends {
+		maxSrc = max(maxSrc, p.Sends[i].Path.Source)
+	}
+	start := make([]int32, int(maxSrc)+2)
+	for i := range p.Sends {
+		start[p.Sends[i].Path.Source+1]++
+	}
+	for v := 1; v < len(start); v++ {
+		start[v] += start[v-1]
+	}
+	// Counting scatter by source, stable: dst[i] is the slot send i
+	// moves to. start[v] serves as node v's cursor, which leaves it
+	// holding start[v+1]; the copy shifts the offsets back.
+	dst := make([]int32, len(p.Sends))
+	for i := range p.Sends {
+		src := p.Sends[i].Path.Source
+		dst[i] = start[src]
+		start[src]++
+	}
+	copy(start[1:], start)
+	start[0] = 0
+	// Apply the permutation in place: each swap puts one send in its
+	// final slot.
+	for i := range dst {
+		for j := dst[i]; int(j) != i; j = dst[i] {
+			p.Sends[i], p.Sends[j] = p.Sends[j], p.Sends[i]
+			dst[i], dst[j] = dst[j], dst[i]
 		}
 	}
-	width := hi - lo + 1
-	if width < 0 || width > 8*len(src)+1024 {
-		return false
-	}
-	counts := make([]int, width+1)
-	for i := range src {
-		counts[key(&src[i])-lo+1]++
-	}
-	for k := 1; k < len(counts); k++ {
-		counts[k] += counts[k-1]
-	}
-	for i := range src {
-		k := key(&src[i]) - lo
-		dst[counts[k]] = src[i]
-		counts[k]++
-	}
-	return true
-}
-
-func stepKey(s *Send) int   { return s.Step }
-func sourceKey(s *Send) int { return int(s.Path.Source) }
-
-// sendIndex returns the per-source step-sorted send grouping,
-// building it on first use: one sorted backing array, with the index
-// slicing windows out of it. Not safe for concurrent first call;
-// executions on one network are single-threaded by design, and
-// parallel replications build their own plans.
-func (p *Plan) sendIndex() [][]Send {
-	if p.bySource == nil {
-		// Stable LSD sort by (source, step): scatter by the minor key,
-		// then by the major one; fall back to comparison sorting for
-		// key ranges counting cannot cover.
-		sorted := make([]Send, len(p.Sends))
-		tmp := make([]Send, len(p.Sends))
-		if !countingSortSends(tmp, p.Sends, stepKey) || !countingSortSends(sorted, tmp, sourceKey) {
-			copy(sorted, p.Sends)
-			sort.Stable(sendsBySourceStep(sorted))
-		}
-		maxSrc := p.Source
-		for i := range sorted {
-			if s := sorted[i].Path.Source; s > maxSrc {
-				maxSrc = s
+	// Stable insertion sort by step within each node's run. Planners
+	// emit a node's sends nearly in step order, so the runs are short
+	// and almost sorted.
+	for v := 0; v+1 < len(start); v++ {
+		run := p.Sends[start[v]:start[v+1]]
+		for i := 1; i < len(run); i++ {
+			for j := i; j > 0 && run[j].Step < run[j-1].Step; j-- {
+				run[j], run[j-1] = run[j-1], run[j]
 			}
 		}
-		idx := make([][]Send, int(maxSrc)+1)
-		for lo := 0; lo < len(sorted); {
-			hi := lo + 1
-			src := sorted[lo].Path.Source
-			for hi < len(sorted) && sorted[hi].Path.Source == src {
-				hi++
-			}
-			idx[src] = sorted[lo:hi:hi]
-			lo = hi
-		}
-		p.bySource = idx
 	}
-	return p.bySource
+	p.start = start
+	return start
 }
 
 // Algorithm plans broadcasts on a mesh.
@@ -172,42 +179,42 @@ type Algorithm interface {
 // Validate checks the plan's structural and causal sanity:
 // every coded path is well-formed, every send's source already holds
 // the message strictly before the send's step, and after the final
-// step every node of the mesh holds the message.
+// step every node of the mesh holds the message. A valid plan is then
+// indexed for execution: Sends ends up in (source, step) order.
 func (p *Plan) Validate(m *topology.Mesh) error {
 	if p.Source < 0 || int(p.Source) >= m.Nodes() {
 		return fmt.Errorf("broadcast: source %d out of range", p.Source)
 	}
+	// informedAt[v] is the earliest step whose sends cover v (0 for
+	// the source, -1 for never). A send is causal exactly when its
+	// source's entry is below its step, whatever order the sends are
+	// checked in.
 	informedAt := make([]int, m.Nodes())
 	for i := range informedAt {
 		informedAt[i] = -1
 	}
 	informedAt[p.Source] = 0
-
-	sends := make([]Send, len(p.Sends))
-	if !countingSortSends(sends, p.Sends, stepKey) {
-		copy(sends, p.Sends)
-		sort.Stable(sendsByStep(sends))
-	}
-
-	for _, s := range sends {
+	for i := range p.Sends {
+		s := &p.Sends[i]
 		if s.Step < 1 || s.Step > p.Steps {
 			return fmt.Errorf("broadcast: %s send at step %d outside [1,%d]", p.Algorithm, s.Step, p.Steps)
 		}
 		if err := s.Path.Validate(m); err != nil {
 			return fmt.Errorf("broadcast: %s step %d: %w", p.Algorithm, s.Step, err)
 		}
-		src := s.Path.Source
-		at := informedAt[src]
-		if at < 0 {
-			return fmt.Errorf("broadcast: %s step %d: source %d never receives the message", p.Algorithm, s.Step, src)
-		}
-		if at >= s.Step {
-			return fmt.Errorf("broadcast: %s step %d: source %d only informed at step %d", p.Algorithm, s.Step, src, at)
-		}
 		for _, w := range s.Path.Waypoints {
-			if informedAt[w] < 0 {
+			if at := informedAt[w]; at < 0 || s.Step < at {
 				informedAt[w] = s.Step
 			}
+		}
+	}
+	for i := range p.Sends {
+		s := &p.Sends[i]
+		switch at := informedAt[s.Path.Source]; {
+		case at < 0:
+			return fmt.Errorf("broadcast: %s step %d: source %d never receives the message", p.Algorithm, s.Step, s.Path.Source)
+		case at >= s.Step:
+			return fmt.Errorf("broadcast: %s step %d: source %d only informed at step %d", p.Algorithm, s.Step, s.Path.Source, at)
 		}
 	}
 	for id, at := range informedAt {
@@ -217,7 +224,7 @@ func (p *Plan) Validate(m *topology.Mesh) error {
 	}
 	// A validated plan is about to be executed, typically many times;
 	// build the execution index once while still outside any hot loop.
-	p.sendIndex()
+	p.index()
 	return nil
 }
 

@@ -3,7 +3,6 @@ package broadcast
 import (
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/topology"
 )
 
@@ -43,37 +42,44 @@ func ceilLog2(k int) int {
 
 // Plan implements Algorithm.
 func (rd RD) Plan(m *topology.Mesh, src topology.NodeID) (*Plan, error) {
-	p := &Plan{Algorithm: rd.Name(), Source: src, Steps: rd.StepsFor(m)}
-	// RD is pure unicast doubling: exactly one send informs each of
-	// the other N-1 nodes.
-	p.Sends = make([]Send, 0, m.Nodes()-1)
+	// RD is pure unicast doubling: exactly one send, with one
+	// waypoint, informs each of the other N-1 nodes.
+	n := m.Nodes()
+	b := newPlanBuilder(rd.Name(), src, rd.StepsFor(m), n-1, n-1)
 
-	// informed tracks the coordinate sets already holding the
-	// message; dimension phases expand it one dimension at a time.
-	informed := []topology.NodeID{src}
-	stepBase := 1
+	// informed tracks the nodes already holding the message;
+	// dimension phases expand it one dimension at a time, swapping
+	// between two buffers of the final size.
+	informed := append(make([]topology.NodeID, 0, n), src)
+	next := make([]topology.NodeID, 0, n)
+	stepBase, stride := 1, 1
 	for d := 0; d < m.NDims(); d++ {
-		rounds := ceilLog2(m.Dim(d))
-		if rounds == 0 {
-			continue
+		k := m.Dim(d)
+		if rounds := ceilLog2(k); rounds > 0 {
+			line := make([]topology.NodeID, k)
+			next = next[:0]
+			for _, holder := range informed {
+				// Node IDs along dimension d are stride apart.
+				pos := m.CoordAxis(holder, d)
+				first := holder - topology.NodeID(pos*stride)
+				for i := range line {
+					line[i] = first + topology.NodeID(i*stride)
+				}
+				next = rd.halveLine(b, line, 0, k, pos, stepBase, next)
+			}
+			informed, next = next, informed
+			stepBase += rounds
 		}
-		next := make([]topology.NodeID, 0, len(informed)*m.Dim(d))
-		for _, holder := range informed {
-			line := m.Line(holder, d)
-			pos := m.CoordAxis(holder, d)
-			next = rd.halveLine(p, line, 0, len(line), pos, stepBase, next)
-		}
-		informed = next
-		stepBase += rounds
+		stride *= k
 	}
-	return p, nil
+	return b.finish(), nil
 }
 
 // halveLine recursively plans the doubling on line[lo:hi] with the
 // holder at index pos, starting at step. It appends every line node
 // that ends up holding the message (the whole segment) to out — one
 // shared accumulator rather than a slice per recursion level.
-func (rd RD) halveLine(p *Plan, line []topology.NodeID, lo, hi, pos, step int, out []topology.NodeID) []topology.NodeID {
+func (rd RD) halveLine(b *planBuilder, line []topology.NodeID, lo, hi, pos, step int, out []topology.NodeID) []topology.NodeID {
 	if hi-lo <= 1 {
 		return append(out, line[pos])
 	}
@@ -90,16 +96,13 @@ func (rd RD) halveLine(p *Plan, line []topology.NodeID, lo, hi, pos, step int, o
 			peer = mid - 1
 		}
 	}
-	p.Sends = append(p.Sends, Send{
-		Step: step,
-		Path: core.ChainPath(line[pos], line[peer]),
-	})
+	b.chain(step, line[pos], false, line[peer])
 	if pos < mid {
-		out = rd.halveLine(p, line, lo, mid, pos, step+1, out)
-		out = rd.halveLine(p, line, mid, hi, peer, step+1, out)
+		out = rd.halveLine(b, line, lo, mid, pos, step+1, out)
+		out = rd.halveLine(b, line, mid, hi, peer, step+1, out)
 	} else {
-		out = rd.halveLine(p, line, mid, hi, pos, step+1, out)
-		out = rd.halveLine(p, line, lo, mid, peer, step+1, out)
+		out = rd.halveLine(b, line, mid, hi, pos, step+1, out)
+		out = rd.halveLine(b, line, lo, mid, peer, step+1, out)
 	}
 	return out
 }

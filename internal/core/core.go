@@ -62,6 +62,11 @@ func (c ControlField) Stop() bool { return c == Receive }
 // is delegated to the underlying routing function (deterministic
 // dimension-order for DB, west-first adaptive for AB); routers strictly
 // between waypoints see control value Pass.
+//
+// A CodedPath is a small value holding one pointer, its Waypoints
+// slice. Planners store paths by value in their plan's sends and slice
+// every path's waypoints out of one plan-wide arena, so a cached plan
+// costs the garbage collector a handful of objects, not one per send.
 type CodedPath struct {
 	// Source injects the worm. It is not a delivery point.
 	Source topology.NodeID
@@ -69,27 +74,32 @@ type CodedPath struct {
 	// waypoint receives control value Receive; earlier ones
 	// ReceiveAndPass (or ReceiveAndRelay when marked).
 	Waypoints []topology.NodeID
-	// Relays marks waypoints (by index) that act as sources in a
-	// later message-passing step; purely informational for analysis.
-	Relays map[int]bool
+	// Relays marks waypoints that act as sources in a later
+	// message-passing step: bit i marks waypoint i, so only the first
+	// 64 waypoints can be marked. Purely informational for analysis.
+	Relays uint64
 }
 
 // Control returns the control field presented to waypoint i.
-func (p *CodedPath) Control(i int) ControlField {
+func (p CodedPath) Control(i int) ControlField {
 	if i == len(p.Waypoints)-1 {
 		return Receive
 	}
-	if p.Relays[i] {
+	if i < 64 && p.Relays&(1<<uint(i)) != 0 {
 		return ReceiveAndRelay
 	}
 	return ReceiveAndPass
 }
 
-// Validate checks structural sanity: at least one waypoint, no
-// waypoint equal to the source, no immediate duplicates.
-func (p *CodedPath) Validate(m *topology.Mesh) error {
+// Validate checks structural sanity: a source and waypoints inside
+// the mesh, at least one waypoint, no waypoint equal to the source, no
+// immediate duplicates.
+func (p CodedPath) Validate(m *topology.Mesh) error {
 	if len(p.Waypoints) == 0 {
 		return fmt.Errorf("core: coded path from %d has no waypoints", p.Source)
+	}
+	if int(p.Source) < 0 || int(p.Source) >= m.Nodes() {
+		return fmt.Errorf("core: coded path source %d out of range", p.Source)
 	}
 	prev := p.Source
 	for i, w := range p.Waypoints {
@@ -105,6 +115,6 @@ func (p *CodedPath) Validate(m *topology.Mesh) error {
 }
 
 // Destinations returns the delivery nodes of the path (the waypoints).
-func (p *CodedPath) Destinations() []topology.NodeID {
+func (p CodedPath) Destinations() []topology.NodeID {
 	return append([]topology.NodeID(nil), p.Waypoints...)
 }

@@ -36,10 +36,10 @@ func TestControlFieldSemantics(t *testing.T) {
 }
 
 func TestCodedPathControls(t *testing.T) {
-	p := &CodedPath{
+	p := CodedPath{
 		Source:    0,
 		Waypoints: []topology.NodeID{1, 2, 3},
-		Relays:    map[int]bool{0: true},
+		Relays:    1 << 0,
 	}
 	if p.Control(0) != ReceiveAndRelay {
 		t.Errorf("waypoint 0 control = %v", p.Control(0))
@@ -70,24 +70,31 @@ func TestValidate(t *testing.T) {
 	if err := ChainPath(0, topology.NodeID(99)).Validate(m); err == nil {
 		t.Error("out-of-range waypoint accepted")
 	}
+	if err := ChainPath(topology.NodeID(99), 1).Validate(m); err == nil {
+		t.Error("out-of-range source accepted")
+	}
 }
 
 func TestLinePath(t *testing.T) {
 	m := topology.NewMesh(6, 4)
-	p := LinePath(m, m.ID(1, 2), 0, 4)
+	p := AppendLine(nil, m, m.ID(1, 2), 0, 4)
 	want := []topology.NodeID{m.ID(2, 2), m.ID(3, 2), m.ID(4, 2)}
-	if len(p.Waypoints) != len(want) {
-		t.Fatalf("waypoints = %v", p.Waypoints)
+	if len(p) != len(want) {
+		t.Fatalf("waypoints = %v", p)
 	}
 	for i := range want {
-		if p.Waypoints[i] != want[i] {
-			t.Fatalf("waypoint %d = %d, want %d", i, p.Waypoints[i], want[i])
+		if p[i] != want[i] {
+			t.Fatalf("waypoint %d = %d, want %d", i, p[i], want[i])
 		}
 	}
-	// Downward direction.
-	down := LinePath(m, m.ID(3, 1), 0, 0)
-	if len(down.Waypoints) != 3 || down.Waypoints[2] != m.ID(0, 1) {
-		t.Fatalf("down waypoints = %v", down.Waypoints)
+	// Downward direction, appended after the first line.
+	both := AppendLine(p, m, m.ID(3, 1), 0, 0)
+	down := both[len(p):]
+	if len(down) != 3 || down[2] != m.ID(0, 1) {
+		t.Fatalf("down waypoints = %v", down)
+	}
+	if both[0] != want[0] {
+		t.Fatalf("append clobbered the earlier line: %v", both)
 	}
 }
 
@@ -98,23 +105,23 @@ func TestLinePathPanicsOnZeroExtent(t *testing.T) {
 			t.Error("zero-extent line did not panic")
 		}
 	}()
-	LinePath(m, m.ID(2, 0), 0, 2)
+	AppendLine(nil, m, m.ID(2, 0), 0, 2)
 }
 
 func TestSegmentPath(t *testing.T) {
 	m := topology.NewMesh(8, 2)
 	// Source left of the segment.
-	p := SegmentPath(m, m.ID(0, 1), 0, 2, 4)
-	if len(p.Waypoints) != 4 {
-		t.Fatalf("waypoints = %v", p.Waypoints)
+	p := AppendSegment(nil, m, m.ID(0, 1), 0, 2, 4)
+	if len(p) != 4 {
+		t.Fatalf("waypoints = %v", p)
 	}
-	last := p.Waypoints[len(p.Waypoints)-1]
+	last := p[len(p)-1]
 	if m.CoordAxis(last, 0) != 4 {
 		t.Fatalf("segment end = %d", m.CoordAxis(last, 0))
 	}
 	// Source right of the segment walks down to lo.
-	q := SegmentPath(m, m.ID(7, 0), 0, 5, 6)
-	qlast := q.Waypoints[len(q.Waypoints)-1]
+	q := AppendSegment(nil, m, m.ID(7, 0), 0, 5, 6)
+	qlast := q[len(q)-1]
 	if m.CoordAxis(qlast, 0) != 5 {
 		t.Fatalf("segment end = %d", m.CoordAxis(qlast, 0))
 	}
@@ -127,7 +134,7 @@ func TestSegmentPathPanicsInsideSegment(t *testing.T) {
 			t.Error("inside-segment source did not panic")
 		}
 	}()
-	SegmentPath(m, m.ID(3, 0), 0, 2, 4)
+	AppendSegment(nil, m, m.ID(3, 0), 0, 2, 4)
 }
 
 // TestSnakePathCoversRectangle property-checks that a snake from any
@@ -145,15 +152,15 @@ func TestSnakePathCoversRectangle(t *testing.T) {
 			cz = slowHi
 		}
 		src := m.ID(0, cx, cz) // rectangle over dims (1, 2) at x=0
-		p := SnakePath(m, src, 1, 2, 0, fastHi, 0, slowHi)
+		p := AppendSnake(nil, m, src, 1, 2, 0, fastHi, 0, slowHi)
 
 		total := (fastHi + 1) * (slowHi + 1)
-		if len(p.Waypoints) != total-1 {
+		if len(p) != total-1 {
 			return false
 		}
 		seen := map[topology.NodeID]bool{src: true}
 		prev := src
-		for _, wpt := range p.Waypoints {
+		for _, wpt := range p {
 			if seen[wpt] {
 				return false // revisit
 			}
@@ -180,7 +187,7 @@ func TestSnakePathPanicsOffCorner(t *testing.T) {
 			t.Error("non-corner snake source did not panic")
 		}
 	}()
-	SnakePath(m, m.ID(1, 1), 0, 1, 0, 3, 0, 3)
+	AppendSnake(nil, m, m.ID(1, 1), 0, 1, 0, 3, 0, 3)
 }
 
 func TestChainPathCopies(t *testing.T) {

@@ -127,22 +127,14 @@ func DegradedStudy(m *topology.Mesh, algo broadcast.Algorithm, cfg DegradedConfi
 	rng := sim.NewRNG(cfg.Seed, 31)
 	out := &DegradationStats{Algorithm: algo.Name(), Mesh: m.Name(), Nodes: m.Nodes()}
 
-	plans := make(map[topology.NodeID]*broadcast.Plan)
 	at := sim.Time(0)
 	results := make([]*broadcast.Result, 0, cfg.Broadcasts)
 	for i := 0; i < cfg.Broadcasts; i++ {
 		at += rng.Exp(interarrival)
 		src := topology.NodeID(rng.Intn(m.Nodes()))
-		plan, ok := plans[src]
-		if !ok {
-			plan, err = algo.Plan(m, src)
-			if err != nil {
-				return nil, err
-			}
-			if err := plan.Validate(m); err != nil {
-				return nil, err
-			}
-			plans[src] = plan
+		plan, err := broadcast.PlanCached(m, algo, src)
+		if err != nil {
+			return nil, err
 		}
 		r, err := broadcast.Execute(net, plan, broadcast.Options{
 			Start:    at,

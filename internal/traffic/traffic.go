@@ -263,22 +263,6 @@ func runMixedOn(s *sim.Simulator, net *network.Network, m *topology.Mesh, cfg Mi
 		}
 	}
 
-	planCache := make(map[topology.NodeID]*broadcast.Plan)
-	planFor := func(src topology.NodeID) (*broadcast.Plan, error) {
-		if p, ok := planCache[src]; ok {
-			return p, nil
-		}
-		p, err := cfg.Algorithm.Plan(m, src)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.Validate(m); err != nil {
-			return nil, err
-		}
-		planCache[src] = p
-		return p, nil
-	}
-
 	// Measured window state: latencies indexed by injection order;
 	// negative means still in flight.
 	latencies := make([]sim.Time, window)
@@ -322,7 +306,7 @@ func runMixedOn(s *sim.Simulator, net *network.Network, m *topology.Mesh, cfg Mi
 			}
 			res.Injected++
 			if rng.Float64() < cfg.BroadcastFraction {
-				plan, err := planFor(node)
+				plan, err := broadcast.PlanCached(m, cfg.Algorithm, node)
 				if err != nil {
 					injectErr = err
 					return
