@@ -200,7 +200,10 @@ func TestWavefrontStudiesIdenticalQuick(t *testing.T) {
 // TestWavefrontStatsAccumulate sanity-checks the batch statistics the
 // EXPERIMENTS.md distribution comes from: a contended study must
 // observe multi-event batches, and the histogram totals must agree
-// with the counters.
+// with the counters. The census counts calendar records while Fired
+// counts model events, and the two differ because the network folds
+// each worm's drain tail into one record per tail instant: both
+// counts are pinned exactly for this broadcast.
 func TestWavefrontStatsAccumulate(t *testing.T) {
 	m := topology.NewMesh(8, 8)
 	s := sim.New()
@@ -219,8 +222,11 @@ func TestWavefrontStatsAccumulate(t *testing.T) {
 	if st.Batches == 0 || st.Events == 0 {
 		t.Fatalf("no batches recorded: %+v", st)
 	}
-	if st.Events != s.Fired() {
-		t.Errorf("batch events %d != fired %d", st.Events, s.Fired())
+	if s.Fired() != 532 {
+		t.Errorf("fired %d model events, want 532", s.Fired())
+	}
+	if st.Events != 343 {
+		t.Errorf("batches carried %d calendar records, want 343", st.Events)
 	}
 	var hist uint64
 	for _, n := range st.Hist {

@@ -48,8 +48,12 @@ type healthState struct {
 
 // parkToken guards a parked worm's timeout record. The calendar entry
 // references the token, not the worm: by the time the timeout fires
-// the worm may have been revived — or revived, drained and recycled —
-// so the handler must no-op unless the worm still carries THIS token.
+// the worm may have been revived — or revived, drained and recycled
+// into another goroutine's network — so the handler must no-op unless
+// the token still names its worm. w is cleared wherever a worm drops
+// its token (revive, timeout; a worm is never recycled while parked),
+// so a stale timeout reads only its own token and never touches a worm
+// it no longer owns.
 type parkToken struct{ w *worm }
 
 func (n *Network) ensureHealth() *healthState {
@@ -201,13 +205,14 @@ func (n *Network) parkOrDrop(env *sim.Env, w *worm) {
 
 // parkTimeoutEvent fires DeadWait after a worm parked. The token
 // check makes stale records harmless: a revived (or long recycled)
-// worm no longer carries this token.
+// worm has detached this token.
 func parkTimeoutEvent(env *sim.Env, arg any) {
 	tk := arg.(*parkToken)
 	w := tk.w
-	if w.parkToken != tk {
+	if w == nil {
 		return
 	}
+	tk.w = nil
 	w.parkToken = nil
 	n := w.net
 	n.unpark(w)
@@ -235,6 +240,7 @@ func (n *Network) reviveParked() {
 	ws := n.parked
 	n.parked = nil
 	for _, w := range ws {
+		w.parkToken.w = nil
 		w.parkToken = nil
 		n.advance(n.sim.Env(), w)
 	}

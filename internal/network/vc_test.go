@@ -15,6 +15,9 @@ import (
 // indexing, VC-class computation and wrap stepping all stay on the
 // stack.
 func TestTorusUnicastHotPathAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random quarter of its Puts under -race, so warm worms are rebuilt")
+	}
 	for _, c := range []sim.Calendar{sim.Ladder, sim.Heap} {
 		t.Run(c.String(), func(t *testing.T) {
 			s := sim.NewWithCalendar(c)

@@ -14,10 +14,12 @@ import (
 // Worms are pooled process-wide: a drained worm returns to the free
 // pool with its per-hop slices' capacity intact, so the saturation
 // hot path recycles storage instead of re-growing it for every
-// message. All of a worm's calendar entries are (Func, worm) records
-// — the drain/deliver events consume their per-worm schedule through
-// the rel/del cursors in fire order, which the calendar's (due, seq)
-// ordering guarantees matches the order complete laid them out in.
+// message. All of a worm's calendar entries are (Func, worm) records.
+// On a serial network its drain tail is one tailEvent record per
+// distinct tail instant (see complete): each consumes the per-worm
+// schedule through the rel/del cursors, recomputing the instants from
+// tcomp, and the calendar's (due, seq) order fires the records in the
+// order complete laid them out in.
 type worm struct {
 	net *Network
 	t   *Transfer
@@ -28,12 +30,13 @@ type worm struct {
 	grants  []sim.Time           // grant time per hop (channel i = path[i]->path[i+1])
 	chans   []topology.ChannelID // acquired channel LANES in order (channel·vcs + vc)
 	deliver []int                // hop index (1-based node position) per waypoint
-	relCur  int                  // next entry of chans to release (serial drain events)
+	relCur  int                  // next entry of chans to release (drain tail)
 	relRecs []laneRel            // sharded drain-event records, one per acquired lane
-	delCur  int                  // next entry of deliver to fire (delivery events)
+	delCur  int                  // next entry of deliver to fire (drain tail)
 	waiting topology.ChannelID   // channel lane whose queue the worm sits in, or -1
 	started sim.Time             // injection request time
 	portAt  sim.Time             // port grant time
+	tcomp   sim.Time             // completion time: the header reached the last waypoint
 
 	// parkToken is non-nil while the worm is parked awaiting a fault
 	// recovery; it guards the park-timeout calendar record (see
@@ -109,7 +112,7 @@ func (n *Network) putWorm(w *worm) {
 	w.relRecs = w.relRecs[:0]
 	w.relCur, w.delCur = 0, 0
 	w.waiting = topology.InvalidChannel
-	w.started, w.portAt = 0, 0
+	w.started, w.portAt, w.tcomp = 0, 0, 0
 	w.parkToken = nil
 	w.vcPol = nil
 	w.sel, w.chApp, w.hopApp = nil, nil, nil
@@ -142,21 +145,10 @@ func releaseLaneEvent(env *sim.Env, arg any) {
 	r.w.net.release(env, r.lane)
 }
 
-// releaseNextEvent is the serial twin of releaseLaneEvent: it frees
-// the worm's next acquired channel in pipeline order. complete
-// schedules these at nondecreasing times in channel order on one
-// calendar, so the cursor always names the channel this record meant.
-func releaseNextEvent(env *sim.Env, arg any) {
-	w := arg.(*worm)
-	i := w.relCur
-	w.relCur++
-	w.net.release(env, w.chans[i])
-}
-
-// deliverNextEvent fires the worm's next waypoint delivery; the event
-// fires at the scheduled (clamped) arrival time, so Now() is the
-// delivery timestamp. Serial-class (coordinator-only), so the cursor
-// needs no guard.
+// deliverNextEvent fires the worm's next waypoint delivery on a
+// sharded network; the event fires at the scheduled (clamped) arrival
+// time, so Now() is the delivery timestamp. Serial-class
+// (coordinator-only), so the cursor needs no guard.
 func deliverNextEvent(env *sim.Env, arg any) {
 	w := arg.(*worm)
 	i := w.delCur
@@ -166,11 +158,11 @@ func deliverNextEvent(env *sim.Env, arg any) {
 
 func releasePortEvent(env *sim.Env, arg any) { w := arg.(*worm); w.net.releasePort(env, w.t.Source) }
 
-// finishWorm retires the worm when its tail fully drains. It fires at
-// tdone with the largest sequence number of the worm's records, so
-// recycling here cannot race an unfired release/delivery; it is
-// serial-class, and every release below its key has executed by the
-// time the coordinator reaches it.
+// finishWorm retires the worm when its tail fully drains. It runs at
+// tdone as the last action of the worm's tail, so recycling here
+// cannot race an unfired release/delivery; it is serial-class, and
+// every release below its key has executed by the time the
+// coordinator reaches it.
 func finishWorm(env *sim.Env, arg any) {
 	w := arg.(*worm)
 	n := w.net
@@ -183,6 +175,68 @@ func finishWorm(env *sim.Env, arg any) {
 		w.t.OnPath(w.path, true)
 	}
 	n.putWorm(w)
+}
+
+// tailDone is the instant a worm completed at tcomp finishes
+// draining its body of length flits. tailDone and drainAt are the only
+// tail-time expressions, so the records complete schedules and the
+// actions tailEvent matches against them agree bit for bit.
+func tailDone(tcomp sim.Time, length int, beta float64) sim.Time {
+	return tcomp + float64(length)*beta
+}
+
+// drainAt is the instant the tail leaves the channel k hops before the
+// worm's last one, tdone - k·β, clamped to the completion time tcomp:
+// a path longer than the body has its first channels free at once.
+func drainAt(tdone, tcomp sim.Time, k int, beta float64) sim.Time {
+	at := tdone - float64(k)*beta
+	if at < tcomp {
+		at = tcomp
+	}
+	return at
+}
+
+// tailEvent runs every drain-tail action of a worm due at the current
+// instant, in the order the per-action records would have fired:
+// channel releases in channel order, then waypoint deliveries in
+// waypoint order, then — in the worm's first tail record — the port
+// release, then — once the last channel is free — retirement. It
+// reports the actions beyond the first to the simulator, so Fired
+// still counts one model event per action. A Stop raised by an action
+// abandons the rest, as a Stop mid-wavefront leaves the unexecuted
+// records unrun.
+func tailEvent(env *sim.Env, arg any) {
+	w := arg.(*worm)
+	n := w.net
+	s := env.Sim()
+	now := env.Now()
+	hops := len(w.chans)
+	tdone := tailDone(w.tcomp, w.t.Length, n.beta)
+	first := w.relCur == 0
+	ran := 0
+	for w.relCur < hops && !s.Stopped() && drainAt(tdone, w.tcomp, hops-1-w.relCur, n.beta) == now {
+		i := w.relCur
+		w.relCur++
+		n.release(env, w.chans[i])
+		ran++
+	}
+	if w.t.OnDeliver != nil {
+		for w.delCur < len(w.deliver) && !s.Stopped() && drainAt(tdone, w.tcomp, hops-w.deliver[w.delCur], n.beta) == now {
+			i := w.delCur
+			w.delCur++
+			w.t.OnDeliver(w.t.Waypoints[i], now)
+			ran++
+		}
+	}
+	if first && !s.Stopped() {
+		n.releasePort(env, w.t.Source)
+		ran++
+	}
+	if w.relCur == hops && !s.Stopped() {
+		finishWorm(env, w)
+		ran++
+	}
+	env.AddFired(ran - 1)
 }
 
 // Send validates t and schedules its injection at absolute time start.
@@ -515,61 +569,58 @@ func (n *Network) complete(env *sim.Env, w *worm) {
 	}
 	now := env.Now()
 	beta := n.beta
-	drain := float64(w.t.Length) * beta
-	tdone := now + drain
+	tdone := tailDone(now, w.t.Length, beta)
 	hops := len(w.chans)
 
 	// Tail leaves channel i at tdone - (hops-1-i)*Beta: once the last
 	// channel is granted the body streams freely, one flit per Beta
 	// per channel, and nothing drained earlier because wormhole
 	// back-pressure held all flits in place while the header stalled.
-	// Times are nondecreasing in i, matching acquisition order. On a
-	// serial network the cursor-driven records fire against chans in
-	// order and cost nothing; only a sharded network builds explicit
-	// per-lane records, because the releases fan out to per-shard
-	// calendars where a shared cursor would race. Build every record
-	// before scheduling any: append may regrow the slice, and the
-	// calendar must hold pointers into the final array.
+	// Times are nondecreasing in i, matching acquisition order. A
+	// waypoint reached after hop h receives its tail when channel h-1
+	// finishes, the port frees when the tail enters channel 0, and
+	// the worm retires when it leaves the last channel — so every
+	// tail action falls on one of the release instants.
+	//
+	// A serial network schedules one tailEvent per distinct release
+	// instant, in ascending order. The per-action form pushed all of
+	// a worm's tail records back to back too, so both forms occupy
+	// one contiguous block of sequence numbers: no other record's
+	// (due, seq) falls between two of this worm's actions at any
+	// instant, and anything an action schedules gets a larger seq
+	// either way. Folding the block therefore leaves the event order
+	// — and every output byte — unchanged.
 	if n.part == nil {
-		for i := range w.chans {
-			at := tdone - float64(hops-1-i)*beta
-			if at < now {
-				at = now
+		w.tcomp = now
+		var prev sim.Time
+		for i := range hops {
+			at := drainAt(tdone, now, hops-1-i, beta)
+			if i == 0 || at != prev {
+				env.AtCall(at, tailEvent, w)
 			}
-			env.AtCall(at, releaseNextEvent, w)
+			prev = at
 		}
-	} else {
-		w.relRecs = w.relRecs[:0]
-		for _, lane := range w.chans {
-			w.relRecs = append(w.relRecs, laneRel{w: w, lane: lane})
-		}
-		for i := range w.relRecs {
-			at := tdone - float64(hops-1-i)*beta
-			if at < now {
-				at = now
-			}
-			env.AtCallShard(at, releaseLaneEvent, &w.relRecs[i], n.laneOwner(w.relRecs[i].lane))
-		}
+		return
 	}
 
-	// A waypoint reached after hop h receives its tail when channel
-	// h-1 finishes, i.e. at tdone - (hops-h)*Beta.
+	// A sharded network keeps one record per action: its releases fan
+	// out to per-shard calendars, where a shared cursor would race, so
+	// each names its lane explicitly. Build every record before
+	// scheduling any: append may regrow the slice, and the calendar
+	// must hold pointers into the final array.
+	w.relRecs = w.relRecs[:0]
+	for _, lane := range w.chans {
+		w.relRecs = append(w.relRecs, laneRel{w: w, lane: lane})
+	}
+	for i := range w.relRecs {
+		at := drainAt(tdone, now, hops-1-i, beta)
+		env.AtCallShard(at, releaseLaneEvent, &w.relRecs[i], n.laneOwner(w.relRecs[i].lane))
+	}
 	if w.t.OnDeliver != nil {
 		for _, h := range w.deliver {
-			at := tdone - float64(hops-h)*beta
-			if at < now {
-				at = now
-			}
-			env.AtCall(at, deliverNextEvent, w)
+			env.AtCall(drainAt(tdone, now, hops-h, beta), deliverNextEvent, w)
 		}
 	}
-
-	// The tail leaves the source when it enters the first channel.
-	portFree := tdone - float64(hops-1)*beta
-	if portFree < now {
-		portFree = now
-	}
-	env.AtCall(portFree, releasePortEvent, w)
-
+	env.AtCall(drainAt(tdone, now, hops-1, beta), releasePortEvent, w)
 	env.AtCall(tdone, finishWorm, w)
 }

@@ -154,19 +154,22 @@ func MapCtx[T any](ctx context.Context, p *Pool, n int, job func(i int) (T, erro
 				}
 			}()
 			for {
+				// Check cancellation before claiming an index, and
+				// count it only while unclaimed work remains: a
+				// cancel that lands once the index space is exhausted
+				// must not discard a fully computed result set, so
+				// every claimed index runs to the end.
+				select {
+				case <-done:
+					if next.Load() < int64(n) {
+						cancelled.Store(true)
+					}
+					return
+				default:
+				}
 				i := int(next.Add(1)) - 1
 				if i >= n || failed.Load() {
 					return
-				}
-				// Check cancellation only after confirming there is
-				// still work to hand out: a cancel that lands once
-				// the index space is exhausted must not discard a
-				// fully computed result set.
-				select {
-				case <-done:
-					cancelled.Store(true)
-					return
-				default:
 				}
 				r, err := job(i)
 				results[i] = r

@@ -248,6 +248,15 @@ func (q *ladderQueue) pushBottom(it itemNode) {
 		q.botIdx = 0
 		return
 	}
+	if len(q.bottom) == cap(q.bottom) && 2*q.botIdx >= len(q.bottom) {
+		// A window fed in order while it drains never empties, so its
+		// consumed prefix would grow the array without bound. Slide the
+		// live span down instead of growing once at least half the
+		// array is consumed: each slide frees that half, which keeps
+		// the copying amortized O(1) per push.
+		q.bottom = q.bottom[:copy(q.bottom, q.bottom[q.botIdx:])]
+		q.botIdx = 0
+	}
 	if it.due >= q.bottom[len(q.bottom)-1].due {
 		q.bottom = append(q.bottom, it)
 		return

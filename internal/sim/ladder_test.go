@@ -163,6 +163,43 @@ func TestLadderBottomSpill(t *testing.T) {
 	drainMatches(t, heap, ladder)
 }
 
+// TestLadderBottomStaysBounded feeds the bottom window in order while
+// it drains, so it never empties: the array must reuse its consumed
+// prefix rather than grow with every event that passes through, and
+// the drain order must still match the heap's.
+func TestLadderBottomStaysBounded(t *testing.T) {
+	heap := calendar(&eventQueue{})
+	lq := newLadderQueue()
+	ladder := calendar(lq)
+	var seq uint64
+	push := func(due Time) {
+		heap.push(event{due: due, seq: seq, fn: func(*Env, any) {}})
+		ladder.push(event{due: due, seq: seq, fn: func(*Env, any) {}})
+		seq++
+	}
+	// A block over [0, 1000) becomes a rung on the first pop, and its
+	// first bucket, [0, 62.5), drains into the bottom window.
+	const block, pushes = 1024, 100 * 1024
+	for i := 0; i < block; i++ {
+		push(Time(i) * 1000 / block)
+	}
+	// Every later push lands past the bottom's last due but inside that
+	// consumed bucket, so it appends to the bottom as the pops drain it.
+	at := Time(61.6)
+	for i := 0; i < pushes; i++ {
+		he, le := heap.pop(), ladder.pop()
+		if he.seq != le.seq {
+			t.Fatalf("pop %d diverged: heap seq %d, ladder seq %d", i, he.seq, le.seq)
+		}
+		at += 1e-6
+		push(at)
+	}
+	if c := cap(lq.bottom); c > block {
+		t.Errorf("bottom capacity %d after %d in-order pushes, want at most %d", c, pushes, block)
+	}
+	drainMatches(t, heap, ladder)
+}
+
 // TestLadderDeepRecursion drains 10⁵ events packed into a narrow
 // window, exercising rung-spawn recursion well past one level, plus a
 // same-instant block too large for any threshold.

@@ -107,6 +107,19 @@ func (e *Env) Coordinator() bool { return e.w == nil }
 // its mutable state; the accessor exists for identity checks.
 func (e *Env) Sim() *Simulator { return e.s }
 
+// AddFired reports n model events the running record executed in
+// addition to itself. A record that folds several actions due at one
+// instant counts as one fired event when it is popped; it reports the
+// rest here, so Fired and the event limit keep counting model events.
+// Coordinator only: a shard worker's executed records are tallied per
+// segment, and nothing that runs there folds actions.
+func (e *Env) AddFired(n int) {
+	if e.w != nil {
+		panic("sim: AddFired on a shard worker")
+	}
+	e.s.fired += uint64(n)
+}
+
 // AtCall schedules a serial-class event at absolute time t.
 func (e *Env) AtCall(t Time, fn Func, arg any) { e.AtCallShard(t, fn, arg, -1) }
 
@@ -254,7 +267,6 @@ func (w *shardWorker) runSegment() {
 // conservative invariant), so they can never join the open segment.
 func (w *shardWorker) runSegmentWavefronts(bd Time, bs uint64) {
 	cal := w.cal
-	s := w.s
 	// Executed records' fn/arg references persist in the scratch between
 	// batches; release them when the segment closes.
 	defer func() { clear(w.wfBuf[:cap(w.wfBuf)]) }()
@@ -268,16 +280,9 @@ func (w *shardWorker) runSegmentWavefronts(bd Time, bs uint64) {
 		w.env.now = wf[0].due
 		w.maxDue = wf[0].due
 		w.nExec += uint64(n)
-		batch := n > 1
-		if batch && s.wfBegin != nil {
-			s.wfBegin(&w.env, n)
-		}
 		for k := 0; k < n; k++ {
 			w.curDue, w.curSeq, w.curIdx = wf[k].due, wf[k].seq, 0
 			wf[k].fn(&w.env, wf[k].arg)
-		}
-		if batch && s.wfEnd != nil {
-			s.wfEnd(&w.env)
 		}
 		w.wfBuf = wf
 	}
@@ -783,10 +788,6 @@ func (s *Simulator) runShardInlineWavefronts(i int, limDue Time, limSeq uint64) 
 		}
 		s.now = wf[0].due
 		n := len(wf)
-		batch := n > 1
-		if batch && s.wfBegin != nil {
-			s.wfBegin(env, n)
-		}
 		for k := 0; k < n; k++ {
 			if s.stopped {
 				for _, e := range wf[k:] {
@@ -796,9 +797,6 @@ func (s *Simulator) runShardInlineWavefronts(i int, limDue Time, limSeq uint64) 
 			}
 			s.fired++
 			wf[k].fn(env, wf[k].arg)
-		}
-		if batch && s.wfEnd != nil {
-			s.wfEnd(env)
 		}
 		s.wfBuf = wf
 	}

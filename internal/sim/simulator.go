@@ -80,8 +80,11 @@ func DefaultWavefront() bool { return !wavefrontOff.Load() }
 
 // WavefrontStats is the batch-size census a simulator keeps while
 // running with wavefront execution: how many wavefronts it drained,
-// how many events they carried, and a log2 histogram of batch sizes
-// (Hist[k] counts wavefronts of size in [2^k, 2^(k+1))).
+// how many calendar records they carried, and a log2 histogram of
+// batch sizes in records (Hist[k] counts wavefronts of size in
+// [2^k, 2^(k+1))). It counts calendar records, not model events: a
+// record that folds several same-instant actions (see Env.AddFired)
+// is one entry here, so Events can be smaller than Fired.
 type WavefrontStats struct {
 	Batches uint64
 	Events  uint64
@@ -106,13 +109,10 @@ type Simulator struct {
 	stopped bool
 	// wf enables wavefront batch execution (captured from the process
 	// default at New); wfBuf is the caller-owned scratch popWavefront
-	// copies runs into, reused across batches. wfBegin/wfEnd are the
-	// executor's hooks around a multi-event batch (see
-	// SetWavefrontHooks), and wfStats is the batch-size census.
+	// copies runs into, reused across batches, and wfStats is the
+	// batch-size census.
 	wf      bool
 	wfBuf   []event
-	wfBegin func(env *Env, size int)
-	wfEnd   func(env *Env)
 	wfStats WavefrontStats
 	// env is the coordinator execution context handed to every event
 	// body that runs on this thread (all of them, on a serial
@@ -154,16 +154,6 @@ func (s *Simulator) Calendar() Calendar { return s.kind }
 // as batched wavefronts (captured from the process default at New).
 func (s *Simulator) Wavefront() bool { return s.wf }
 
-// SetWavefrontHooks installs the executor's callbacks around each
-// multi-event wavefront: begin runs before a batch's first event with
-// the batch size, end after its last. The network layer uses them to
-// pin a struct-of-arrays view of lane state for the batch's duration.
-// Hooks only fire around batches of two or more events — a singleton
-// run is executed exactly like a plain Step. Either hook may be nil.
-func (s *Simulator) SetWavefrontHooks(begin func(env *Env, size int), end func(env *Env)) {
-	s.wfBegin, s.wfEnd = begin, end
-}
-
 // WavefrontStats returns the batch-size census accumulated so far.
 // All counters stay zero when wavefront execution is off or the
 // simulator runs sharded (shard segments keep their own drains).
@@ -172,12 +162,18 @@ func (s *Simulator) WavefrontStats() WavefrontStats { return s.wfStats }
 // Now returns the current simulated time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Fired reports how many events have executed so far.
+// Fired reports how many model events have executed so far. A model
+// event is one action the model performs; it is usually one calendar
+// record, but a record that folds several same-instant actions
+// reports the extras through Env.AddFired, so Fired is the same
+// whether or not a model folds its records.
 func (s *Simulator) Fired() uint64 { return s.fired }
 
-// SetEventLimit installs a safety limit on the number of events a Run
-// call may execute; 0 disables the limit. It guards against runaway
-// feedback loops in experimental workloads.
+// SetEventLimit installs a safety limit on the number of model events
+// (as counted by Fired) a Run call may execute; 0 disables the limit.
+// The limit is checked between calendar records, so a folded record
+// may carry the count past it before the panic. It guards against
+// runaway feedback loops in experimental workloads.
 func (s *Simulator) SetEventLimit(n uint64) { s.limit = n }
 
 // runClosure adapts the closure-based At/After API onto the record
@@ -375,10 +371,6 @@ func (s *Simulator) runWavefronts(horizon Time) {
 		s.wfStats.Batches++
 		s.wfStats.Events += uint64(n)
 		s.wfStats.Hist[histBucket(n)]++
-		batch := n > 1
-		if batch && s.wfBegin != nil {
-			s.wfBegin(&s.env, n)
-		}
 		for k := 0; k < n; k++ {
 			if s.stopped {
 				// Stop landed mid-batch: hand the unexecuted tail
@@ -391,9 +383,6 @@ func (s *Simulator) runWavefronts(horizon Time) {
 			}
 			s.fired++
 			wf[k].fn(&s.env, wf[k].arg)
-		}
-		if batch && s.wfEnd != nil {
-			s.wfEnd(&s.env)
 		}
 		s.wfBuf = wf
 	}
