@@ -63,19 +63,14 @@ type benchResult struct {
 // artifact carries the mesh trajectory and the torus datapoint side
 // by side. Store records the substrate memory model of a scale-
 // workload phase ("dense" or "lazy"; empty on the trajectory phases,
-// which always measure the dense store). Shards and MaxProcs record a
-// "shards" phase's conservative-parallel shard count and the
-// GOMAXPROCS it was measured under: the parallel kernel can only beat
-// the serial one when the machine has cores for its shards, so a
-// speedup (or its absence) is meaningless without the core count.
+// which always measure the dense store). Older artifacts may carry
+// fields this struct no longer names; decoding ignores them.
 type benchPhase struct {
 	Recorded  string        `json:"recorded"`
 	GoVersion string        `json:"go_version"`
 	Calendar  string        `json:"calendar,omitempty"`
 	Topo      string        `json:"topo,omitempty"`
 	Store     string        `json:"store,omitempty"`
-	Shards    int           `json:"shards,omitempty"`
-	MaxProcs  int           `json:"max_procs,omitempty"`
 	Results   []benchResult `json:"results"`
 }
 
@@ -132,44 +127,31 @@ type benchFile struct {
 // "scale" (the million-node sparse-multicast workload whose dense and
 // lazy phases measure the substrate memory models). topo selects the
 // saturation topology: "mesh" or "torus" (the wraparound twin with two
-// dateline VCs, recorded as its own phase). shards > 1 measures the
-// workload on the conservative-parallel kernel and is recorded as the
-// "shards" phase — the phase name and the kernel are locked together,
-// exactly as the calendar-named phases are, so a mislabeled phase
-// cannot corrupt the serial-vs-sharded summary.
-func runBenchJSON(path, phase, benchtime, topo, workload string, shards int) error {
+// dateline VCs, recorded as its own phase).
+func runBenchJSON(path, phase, benchtime, topo, workload string) error {
 	if benchtime != "" {
 		testing.Init()
 		if err := flag.Set("test.benchtime", benchtime); err != nil {
 			return fmt.Errorf("paperbench: bad -benchtime %q: %v", benchtime, err)
 		}
 	}
-	if shards > 1 && phase != "shards" {
-		return fmt.Errorf("paperbench: -benchshards %d must be recorded under -benchphase shards, not %q", shards, phase)
-	}
-	if phase == "shards" && shards <= 1 {
-		return fmt.Errorf("paperbench: -benchphase shards needs -benchshards > 1")
-	}
 	switch workload {
 	case "saturation":
-		return runBenchSaturation(path, phase, topo, shards)
+		return runBenchSaturation(path, phase, topo)
 	case "scale":
 		if topo != "mesh" {
 			return fmt.Errorf("paperbench: the scale workload is mesh-only; drop -benchtopo %s", topo)
 		}
-		return runBenchScale(path, phase, shards)
+		return runBenchScale(path, phase)
 	}
 	return fmt.Errorf("paperbench: -benchworkload %q (want saturation or scale)", workload)
 }
 
 // runBenchSaturation executes the saturation benchmark and merges the
 // results into path under the given phase.
-func runBenchSaturation(path, phase, topo string, shards int) error {
+func runBenchSaturation(path, phase, topo string) error {
 	if topo != "mesh" && topo != "torus" {
 		return fmt.Errorf("paperbench: -benchtopo %q (want mesh or torus)", topo)
-	}
-	if shards > 1 && topo != "mesh" {
-		return fmt.Errorf("paperbench: the shards phase measures the mesh workload; drop -benchtopo %s", topo)
 	}
 	// dense/lazy name the scale workload's store phases; a saturation
 	// measurement recorded under them would corrupt the dense-vs-lazy
@@ -211,7 +193,7 @@ func runBenchSaturation(path, phase, topo string, shards int) error {
 	// calendar than its already-recorded partner — the summary would
 	// attribute the calendar's speedup to whatever the phase pair
 	// claims to measure.
-	for _, pair := range [][2]string{{"baseline", "optimized"}, {"optimized", "baseline"}, {"torus", "ladder"}, {"ladder", "torus"}, {"shards", "ladder"}, {"ladder", "shards"}} {
+	for _, pair := range [][2]string{{"baseline", "optimized"}, {"optimized", "baseline"}, {"torus", "ladder"}, {"ladder", "torus"}} {
 		if phase != pair[0] {
 			continue
 		}
@@ -241,7 +223,6 @@ func runBenchSaturation(path, phase, topo string, shards int) error {
 		m = wormsim.NewTorus(wormsim.SaturationDims()...)
 		bcfg.Net.VCs = 2
 	}
-	bcfg.Net.Shards = shards
 	p := &benchPhase{
 		Recorded:  time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
@@ -249,10 +230,6 @@ func runBenchSaturation(path, phase, topo string, shards int) error {
 	}
 	if topo == "torus" {
 		p.Topo = topo
-	}
-	if shards > 1 {
-		p.Shards = shards
-		p.MaxProcs = runtime.GOMAXPROCS(0)
 	}
 	for _, algo := range wormsim.Algorithms() {
 		var events uint64
@@ -310,12 +287,10 @@ const (
 )
 
 // runBenchScale executes the scale benchmark on one substrate memory
-// model (phase "dense" or "lazy") — or, for phase "shards", on the
-// conservative-parallel kernel over the lazy store — and merges the
-// result into path.
-func runBenchScale(path, phase string, shards int) error {
-	if phase != "dense" && phase != "lazy" && phase != "shards" {
-		return fmt.Errorf("paperbench: the scale workload records store phases; -benchphase %q (want dense, lazy or shards)", phase)
+// model (phase "dense" or "lazy") and merges the result into path.
+func runBenchScale(path, phase string) error {
+	if phase != "dense" && phase != "lazy" {
+		return fmt.Errorf("paperbench: the scale workload records store phases; -benchphase %q (want dense or lazy)", phase)
 	}
 	file, err := loadOrInitBenchFile(path)
 	if err != nil {
@@ -331,9 +306,7 @@ func runBenchScale(path, phase string, shards int) error {
 		return err
 	}
 	// The dense/lazy pair must share a kernel, or the pair's ns ratio
-	// would attribute the calendar's speedup to the store. The shards
-	// phase pairs with "lazy" (same store, serial kernel) under the
-	// same rule.
+	// would attribute the calendar's speedup to the store.
 	activeCal := wormsim.DefaultCalendar().String()
 	partnerName := "lazy"
 	if phase == "lazy" {
@@ -350,12 +323,8 @@ func runBenchScale(path, phase string, shards int) error {
 		m = topology.NewMesh(scaleDims()...)
 		cfg.Store = network.StoreDense
 	} else {
-		// "lazy" and "shards" both measure the paged store; the shards
-		// phase adds the parallel kernel on top, so the lazy phase is
-		// its serial reference.
 		m = topology.NewMeshImplicit(scaleDims()...)
 		cfg.Store = network.StoreLazy
-		cfg.Shards = shards
 	}
 	dests := make([]topology.NodeID, 0, scaleDests)
 	for i := 1; i <= scaleDests; i++ {
@@ -368,11 +337,6 @@ func runBenchScale(path, phase string, shards int) error {
 		GoVersion: runtime.Version(),
 		Calendar:  activeCal,
 		Store:     phase,
-	}
-	if phase == "shards" {
-		p.Store = "lazy"
-		p.Shards = shards
-		p.MaxProcs = runtime.GOMAXPROCS(0)
 	}
 	var events uint64
 	var cv float64
@@ -500,12 +464,6 @@ func summarizeFile(file *benchFile) *benchSummary {
 		if p == nil {
 			return false
 		}
-		// Only the "shards" phase runs the parallel kernel, and it must
-		// actually be sharded: a serial phase hand-recorded with a shard
-		// count (or vice versa) would masquerade as the kernel speedup.
-		if (name == "shards") != (p.Shards > 1) {
-			return false
-		}
 		if (name == "heap" || name == "ladder") && p.Calendar != "" && p.Calendar != name {
 			return false
 		}
@@ -520,7 +478,7 @@ func summarizeFile(file *benchFile) *benchSummary {
 		}
 		return p.Topo == "" || p.Topo == "mesh"
 	}
-	for _, pair := range [][2]string{{"heap", "ladder"}, {"ladder", "shards"}, {"ladder", "torus"}, {"baseline", "optimized"}, {"dense", "lazy"}, {"lazy", "shards"}} {
+	for _, pair := range [][2]string{{"heap", "ladder"}, {"ladder", "torus"}, {"baseline", "optimized"}, {"dense", "lazy"}} {
 		a, b := file.Phases[pair[0]], file.Phases[pair[1]]
 		if !coherent(pair[0], a) || !coherent(pair[1], b) {
 			continue

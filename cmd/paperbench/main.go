@@ -15,14 +15,10 @@
 // simulation kernel's calendar for everything the command runs. The
 // ladder queue is the default; the legacy binary heap is kept for
 // cross-checking and for measuring the ladder's speedup. Output is
-// byte-identical either way — only wall time changes. The -shards
-// knob likewise applies to everything the command runs: each
-// simulation is partitioned across that many shard calendars of the
-// conservative-parallel kernel, with byte-identical output at any
-// count — `paperbench -shards 8` must diff empty against a serial
-// run. The -wavefront knob (default on) selects batched execution of
-// same-instant events; -wavefront=false pops one event at a time, and
-// the output must again diff empty — CI pins both identities.
+// byte-identical either way — only wall time changes. The -wavefront
+// knob (default on) selects batched execution of same-instant events;
+// -wavefront=false pops one event at a time, and the output must
+// again diff empty — CI pins both identities.
 //
 // The -cpuprofile and -memprofile flags write standard pprof
 // profiles of the whole run, exactly as `go test` would.
@@ -45,15 +41,6 @@
 //	                   -benchphase dense or lazy so one artifact
 //	                   carries both substrate memory models and a
 //	                   bytes/op reduction summary
-//	-benchshards K     measure the workload on the conservative-
-//	                   parallel kernel with K shard calendars,
-//	                   recorded as the "shards" phase; paired with the
-//	                   artifact's serial phase ("ladder" for
-//	                   saturation, "lazy" for scale) the summary
-//	                   reports the per-algorithm events/sec speedup.
-//	                   Phases record the GOMAXPROCS they were measured
-//	                   under — shard speedup needs as many cores as
-//	                   shards
 //	-benchguard FILE   offline regression gate: compare FILE's best
 //	                   phase against -benchbaseline's and fail if any
 //	                   algorithm lost events/sec or gained allocs/op
@@ -70,13 +57,10 @@
 //	paperbench -benchjson BENCH_pr4.json -benchphase ladder -calendar ladder
 //	paperbench -benchguard BENCH_pr4.json -benchbaseline BENCH_pr2.json
 //
-// BENCH_pr9.json extends it with the parallel kernel: a fresh serial
-// "ladder" phase plus the "shards" phase of the same workload, so
-// the summary carries the shard speedup and the guard pins the
-// serial path against BENCH_pr5:
+// BENCH_pr9.json re-measures the serial "ladder" phase and is guarded
+// against BENCH_pr5 (its "shards" phase records a parallel kernel that
+// has since been removed; the guard never picks that phase):
 //
-//	paperbench -benchjson BENCH_pr9.json -benchphase ladder
-//	paperbench -benchjson BENCH_pr9.json -benchphase shards -benchshards 8
 //	paperbench -benchguard BENCH_pr9.json -benchbaseline BENCH_pr5.json
 //
 // Replications run in parallel on -procs workers (default: all
@@ -114,7 +98,6 @@ func main() {
 		procs    = flag.Int("procs", 0, "max parallel replications (0 = all cores); output is identical for any value")
 		repsF    = flag.Int("reps", 0, "override replication count for the replicated figures (0 = default)")
 		progress = flag.Bool("progress", true, "report live progress on stderr")
-		shards   = flag.Int("shards", 0, "partition each simulation across this many shard calendars of the conservative-parallel kernel (0/1 = serial; output is byte-identical)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 
@@ -130,7 +113,6 @@ func main() {
 		benchBaseline = flag.String("benchbaseline", "", "baseline bench artifact for -benchguard")
 		benchTol      = flag.Float64("benchtol", 0.05, "relative tolerance for -benchguard (0.05 = 5%)")
 		benchGdMode   = flag.String("benchguardmode", "full", "what -benchguard enforces: full (events/sec floor + allocs/op ceiling) or alloc (allocs/op + bytes/op ceilings — machine-independent, for guarding fresh measurements against committed artifacts)")
-		benchShards   = flag.Int("benchshards", 0, "measure the -benchjson workload on the conservative-parallel kernel with this many shards, recorded as the \"shards\" phase (0 = serial)")
 	)
 	flag.Parse()
 
@@ -157,7 +139,7 @@ func main() {
 		return
 	}
 	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *benchPhase, *benchTime, *benchTopo, *benchWork, *benchShards); err != nil {
+		if err := runBenchJSON(*benchJSON, *benchPhase, *benchTime, *benchTopo, *benchWork); err != nil {
 			fmt.Fprintf(os.Stderr, "%v\n", err)
 			os.Exit(1)
 		}
@@ -243,7 +225,6 @@ func main() {
 		opts := append([]scenario.Option{
 			scenario.WithSeed(*seed),
 			scenario.WithProcs(*procs),
-			scenario.WithShards(*shards),
 			scenario.WithProgress(reporter(label)),
 		}, extra...)
 		spec, err := scenario.Build(name, opts...)

@@ -24,13 +24,6 @@
 // byte-identical either way — the knob exists for cross-checking and
 // for measuring kernel speed, see cmd/paperbench's bench flags.
 //
-// The -shards flag partitions EACH simulation across that many shard
-// calendars of the conservative-parallel kernel — parallelism inside
-// one simulation, on top of the across-simulation parallelism -procs
-// controls. Output is byte-identical at every shard count; the
-// worker pool automatically narrows so shards × workers stays at one
-// thread per core.
-//
 // The -wavefront flag (default on) selects batched execution of
 // same-instant events in the kernel; -wavefront=false pops one event
 // at a time. Output is byte-identical either way — the knob exists
@@ -39,7 +32,7 @@
 // The -cpuprofile and -memprofile flags write standard pprof
 // profiles of the whole run, exactly as `go test` would:
 //
-//	sweep -what fig2 -shards 8 -cpuprofile cpu.out
+//	sweep -what fig2 -cpuprofile cpu.out
 //	go tool pprof -top cpu.out
 //
 // The scenario names come from the process-wide registry
@@ -79,7 +72,6 @@ func main() {
 		faults    = flag.Int("faults", 0, "fail this many random undirected links in every cell of a contended scenario (0 = scenario default)")
 		store     = flag.String("store", "", "substrate memory model: auto, dense, or lazy (empty = scenario default)")
 		calName   = flag.String("calendar", "ladder", "event calendar backing the simulation kernel: ladder or heap (byte-identical output, different speed)")
-		shards    = flag.Int("shards", 0, "partition each simulation across this many shard calendars of the conservative-parallel kernel (0/1 = serial; output is byte-identical)")
 		wavefront = flag.Bool("wavefront", true, "execute same-instant event batches as wavefronts (byte-identical output; false pops one event at a time)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -113,7 +105,6 @@ func main() {
 		scenario.WithProcs(*procs),
 		scenario.WithFaults(*faults),
 		scenario.WithStore(*store),
-		scenario.WithShards(*shards),
 	}
 	if *meshSpec != "" {
 		dims, err := parseDims(*meshSpec)

@@ -121,6 +121,10 @@ func TestRandomFaultsNeverRouteDead(t *testing.T) {
 		s.Run()
 
 		ok := true
+		if err := net.CheckInvariants(); err != nil {
+			t.Errorf("seed %d on %s: %v", seed, m.Name(), err)
+			ok = false
+		}
 		for _, rec := range recs {
 			if !rec.retired {
 				t.Errorf("seed %d on %s: worm %d->%d neither delivered nor dropped",

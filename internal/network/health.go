@@ -62,14 +62,6 @@ func (n *Network) ensureHealth() *healthState {
 			linkDown: make([]bool, n.topo.ChannelSlots()),
 			nodeDown: make([]bool, n.topo.Nodes()),
 		}
-		// A degraded network loses its lookahead: a dropped worm
-		// releases its whole held chain instantly across shards, and
-		// kicks/revivals re-route worms synchronously. The sharded
-		// kernel falls back to coordinator-only execution for the rest
-		// of the run (identical output, no parallel segments). Faults
-		// are always injected from serial-class events, so this fires
-		// on the coordinator between segments.
-		n.sim.Degrade()
 	}
 	return n.health
 }
@@ -184,7 +176,7 @@ func (n *Network) kickWaiters(ch topology.ChannelID) {
 				panic("network: queued worm not waiting on this channel")
 			}
 			w.waiting = topology.InvalidChannel
-			n.advance(n.sim.Env(), w)
+			n.advance(w)
 		}
 	}
 }
@@ -192,21 +184,21 @@ func (n *Network) kickWaiters(ch topology.ChannelID) {
 // parkOrDrop handles a worm with no live admissible next hop: park it
 // for DeadWait µs awaiting a recovery, or drop it immediately when no
 // grace is configured.
-func (n *Network) parkOrDrop(env *sim.Env, w *worm) {
+func (n *Network) parkOrDrop(w *worm) {
 	if n.deadWait > 0 {
 		tk := &parkToken{w: w}
 		w.parkToken = tk
 		n.parked = append(n.parked, w)
-		env.AfterCall(n.deadWait, parkTimeoutEvent, tk)
+		n.sim.AfterCall(n.deadWait, parkTimeoutEvent, tk)
 		return
 	}
-	n.dropWorm(env, w)
+	n.dropWorm(w)
 }
 
 // parkTimeoutEvent fires DeadWait after a worm parked. The token
 // check makes stale records harmless: a revived (or long recycled)
 // worm has detached this token.
-func parkTimeoutEvent(env *sim.Env, arg any) {
+func parkTimeoutEvent(_ *sim.Simulator, arg any) {
 	tk := arg.(*parkToken)
 	w := tk.w
 	if w == nil {
@@ -216,7 +208,7 @@ func parkTimeoutEvent(env *sim.Env, arg any) {
 	w.parkToken = nil
 	n := w.net
 	n.unpark(w)
-	n.dropWorm(env, w)
+	n.dropWorm(w)
 }
 
 // unpark removes w from the parked list, preserving order.
@@ -242,7 +234,7 @@ func (n *Network) reviveParked() {
 	for _, w := range ws {
 		w.parkToken.w = nil
 		w.parkToken = nil
-		n.advance(n.sim.Env(), w)
+		n.advance(w)
 	}
 }
 
@@ -251,7 +243,7 @@ func (n *Network) reviveParked() {
 // counted, the Transfer's OnPath/OnDrop hooks fire, and the worm
 // returns to the pool. No delivery ever fires for a dropped worm —
 // its body never drained past any waypoint.
-func (n *Network) dropWorm(env *sim.Env, w *worm) {
+func (n *Network) dropWorm(w *worm) {
 	if w.waiting != topology.InvalidChannel {
 		panic("network: dropping a queued worm")
 	}
@@ -260,18 +252,18 @@ func (n *Network) dropWorm(env *sim.Env, w *worm) {
 	}
 	n.activeRemove(w)
 	n.dropped++
-	n.releasePort(env, w.t.Source)
+	n.releasePort(w.t.Source)
 	// w.chans survives intact through the releases (release indexes the
 	// network's channel table, not the worm), so the path-order walk is
 	// safe; putWorm truncates it afterwards.
 	for _, lane := range w.chans {
-		n.release(env, lane)
+		n.release(lane)
 	}
 	if w.t.OnPath != nil {
 		w.t.OnPath(w.path, false)
 	}
 	if w.t.OnDrop != nil {
-		w.t.OnDrop(env.Now())
+		w.t.OnDrop(n.sim.Now())
 	}
 	n.putWorm(w)
 }

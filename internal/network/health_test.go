@@ -201,8 +201,18 @@ func TestFailedLinkKicksWaiters(t *testing.T) {
 	// The failure strikes while A still holds the channel and B still
 	// queues on it.
 	failAt := cfg.Ts + 1
+	audit := func() {
+		if err := n.CheckInvariants(); err != nil {
+			t.Errorf("t=%v: %v", s.Now(), err)
+		}
+	}
+	s.At(failAt-0.5, audit)
 	s.At(failAt, func() { n.FailLink(contested) })
+	// After the kick A still holds the dead channel, which the fault
+	// model allows; B must no longer wait on it.
+	s.At(failAt, audit)
 	s.Run()
+	audit()
 	if !aDone {
 		t.Fatal("holder did not finish draining over its acquired channel")
 	}

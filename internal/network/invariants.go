@@ -1,0 +1,124 @@
+package network
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+
+	"repro/internal/topology"
+)
+
+// CheckInvariants audits the network's bookkeeping and returns every
+// violation it finds joined into one error, or nil. Between events it
+// must hold that:
+//
+//   - every lane holder is an in-flight worm whose unreleased acquired
+//     lanes (chans[relCur:]) include that lane, and every such lane of
+//     an in-flight worm is held by it;
+//   - every worm queued on a lane is in flight and names that lane in
+//     its waiting field, and every in-flight worm that names a lane
+//     there sits in some lane's queue;
+//   - no worm waits on a lane of a dead channel or a lane out of a
+//     dead node (fault kicks drain those queues, and advance never
+//     queues on a dead hop);
+//   - Injected() == Finished() + Dropped() + InFlight().
+//
+// A holder may sit on a dead lane: the fault model is fail-stop at
+// acquisition, so a worm granted a lane before it failed keeps it
+// until its tail passes, and acquire panics on any grant after the
+// failure. The audit walks every allocated lane, so it belongs in
+// tests and probes, never on a hot path.
+func (n *Network) CheckInvariants() error {
+	var errs []error
+	fail := func(format string, args ...any) {
+		errs = append(errs, fmt.Errorf("network: "+format, args...))
+	}
+
+	active := make(map[*worm]bool, n.activeCount)
+	waiting := 0
+	for w := n.activeHead; w != nil; w = w.activeNext {
+		active[w] = true
+		if w.waiting != topology.InvalidChannel {
+			waiting++
+		}
+		for _, lane := range w.chans[w.relCur:] {
+			if h := n.laneIfTouched(lane); h == nil || h.holder != w {
+				fail("%s: acquired lane %d is not held by it", w.describe(), lane)
+			}
+		}
+	}
+	if len(active) != n.activeCount {
+		fail("in-flight list holds %d worms, count says %d", len(active), n.activeCount)
+	}
+	if n.injected != n.finished+n.dropped+uint64(n.activeCount) {
+		fail("injected %d != finished %d + dropped %d + in flight %d", n.injected, n.finished, n.dropped, n.activeCount)
+	}
+
+	queued := 0
+	n.eachLane(func(lane topology.ChannelID, st *channelState) {
+		if w := st.holder; w != nil {
+			if !active[w] {
+				fail("lane %d held by a worm that is not in flight", lane)
+			} else if !slices.Contains(w.chans[w.relCur:], lane) {
+				fail("lane %d held by %s, which has not acquired it", lane, w.describe())
+			}
+		}
+		for i := 0; i < st.queue.Len(); i++ {
+			w := st.queue.at(i)
+			queued++
+			switch {
+			case !active[w]:
+				fail("lane %d queues a worm that is not in flight", lane)
+			case w.waiting != lane:
+				fail("lane %d queues %s", lane, w.describe())
+			case n.laneDead(w.cur, lane):
+				fail("%s waits on dead lane %d", w.describe(), lane)
+			}
+		}
+	})
+	if queued != waiting {
+		fail("%d worms are queued on lanes but %d in-flight worms are waiting", queued, waiting)
+	}
+	return errors.Join(errs...)
+}
+
+// eachLane calls fn for every lane whose state exists: all lanes of a
+// dense network, the lanes of allocated pages of a lazy one (an
+// untouched lane has no holder and no queue).
+func (n *Network) eachLane(fn func(topology.ChannelID, *channelState)) {
+	if n.lazy == nil {
+		for i := range n.channels {
+			fn(topology.ChannelID(i), &n.channels[i])
+		}
+		return
+	}
+	for p, page := range n.lazy.lanePages {
+		if page == nil {
+			continue
+		}
+		for i := range page.ch {
+			if lane := p<<pageBits + i; lane < n.lanes {
+				fn(topology.ChannelID(lane), &page.ch[i])
+			}
+		}
+	}
+}
+
+// laneDead reports whether lane, a lane out of node from, crosses a
+// failed channel or touches a failed node.
+func (n *Network) laneDead(from topology.NodeID, lane topology.ChannelID) bool {
+	h := n.health
+	if h == nil {
+		return false
+	}
+	ch := topology.ChannelID(int(lane) / n.vcs)
+	if h.linkDown[ch] || h.nodeDown[from] {
+		return true
+	}
+	for _, nb := range topology.AppendNeighborsOf(n.topo, from, nil) {
+		if n.topo.Channel(from, nb) == ch {
+			return h.nodeDown[nb]
+		}
+	}
+	return false
+}

@@ -63,15 +63,6 @@ type Config struct {
 	// use any free lane (plain head-of-line-blocking relief — safe on
 	// meshes, NOT a deadlock guarantee on tori).
 	VCs int
-	// Shards asks for the conservative-parallel simulation kernel: the
-	// mesh is slab-partitioned into Shards contiguous blocks
-	// (topology.Partition), the driving simulator gains one event
-	// calendar and one worker per shard, and header advances/channel
-	// releases execute in parallel inside lookahead-bounded segments
-	// (sim/shard.go). Output is byte-identical to the serial kernel at
-	// any shard count. Zero or 1 keeps the serial kernel; values above
-	// the node count are clamped. Requires a mesh/torus topology.
-	Shards int
 }
 
 // DefaultConfig returns the paper's baseline parameters: Ts=1.5 µs,
@@ -113,26 +104,6 @@ func (c Config) validate() error {
 	}
 	if c.Store < StoreAuto || c.Store > StoreLazy {
 		return fmt.Errorf("network: invalid store mode %d", c.Store)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("network: negative shard count %d", c.Shards)
-	}
-	if c.Shards > 1 {
-		// The sharded kernel's correctness rests on the per-hop delay
-		// being the minimum delay of ANY event a shard-class event can
-		// schedule — the conservative lookahead. Besides the next hop
-		// (exactly one hop delay out), a shard-class event can reach a
-		// Ts-delayed injection grant (a release handing a port to a
-		// queued worm) and a DeadWait-delayed park timeout, so both must
-		// be at least the hop delay; a zero DeadWait schedules nothing
-		// (such worms drop on the spot) and stays valid.
-		hop := c.hopDelay()
-		if c.Ts < hop {
-			return fmt.Errorf("network: sharded kernel needs startup latency >= per-hop delay (the lookahead): Ts=%g < %g", c.Ts, hop)
-		}
-		if c.DeadWait > 0 && c.DeadWait < hop {
-			return fmt.Errorf("network: sharded kernel needs dead-hop wait >= per-hop delay (the lookahead): DeadWait=%g < %g", c.DeadWait, hop)
-		}
 	}
 	return nil
 }
@@ -176,7 +147,6 @@ type Transfer struct {
 // design.
 type Network struct {
 	topo topology.Topology
-	mesh *topology.Mesh // non-nil when topo is a mesh
 	sim  *sim.Simulator
 	cfg  Config
 	dor  routing.Selector
@@ -217,23 +187,12 @@ type Network struct {
 	// candScratch is the reusable next-hop candidate buffer advance
 	// hands to HopAppender selectors. Safe to share across worms: each
 	// advance call fully consumes the candidates before anything else
-	// can route. On a sharded network every execution context gets its
-	// own buffer (candScratchSh, indexed shard+1) because advances run
-	// concurrently across shards.
-	candScratch   []topology.NodeID
-	candScratchSh [][]topology.NodeID
+	// can route.
+	candScratch []topology.NodeID
 
 	// hopScratch is candScratch's channel-resolved twin: the buffer
-	// advance hands to ChannelAppender selectors, with the same
-	// per-context ownership rules.
-	hopScratch   []routing.Hop
-	hopScratchSh [][]routing.Hop
-
-	// part is the shard partition of the conservative-parallel kernel;
-	// nil on a serial network. ndims2 caches NDims·2 for the lane →
-	// source-node arithmetic of shard classification.
-	part   *topology.Partition
-	ndims2 int
+	// advance hands to ChannelAppender selectors.
+	hopScratch []routing.Hop
 
 	// Occupancy accounting (see statistics.go).
 	busyTime  []sim.Time
@@ -279,7 +238,6 @@ func New(s *sim.Simulator, topo topology.Topology, cfg Config) (*Network, error)
 		n.acquires = make([]uint64, lanes)
 	}
 	if m, ok := topo.(*topology.Mesh); ok {
-		n.mesh = m
 		if m.HasWrapLinks() && n.vcs > 1 {
 			// On a torus with virtual channels the default router is
 			// dateline dimension-order: the same minimal modular routes
@@ -292,76 +250,7 @@ func New(s *sim.Simulator, topo topology.Topology, cfg Config) (*Network, error)
 			n.dor = routing.NewDOR(m)
 		}
 	}
-	if cfg.Shards > 1 {
-		if n.mesh == nil {
-			return nil, fmt.Errorf("network: sharded kernel needs a mesh topology, got %s", topo.Name())
-		}
-		if s.Shards() > 1 {
-			return nil, fmt.Errorf("network: simulator already sharded")
-		}
-		p := topology.NewPartition(n.mesh, cfg.Shards)
-		if k := p.Shards(); k > 1 {
-			s.EnableSharding(k)
-			// The per-hop routing delay is the hard lookahead: it is
-			// the minimum delay of any event a shard-class event can
-			// schedule — the next header advance is exactly one hop
-			// delay out, and validate() holds Ts and any positive
-			// DeadWait at or above it.
-			s.SetLookahead(n.hop)
-			n.part = p
-			n.ndims2 = n.mesh.NDims() * 2
-			n.candScratchSh = make([][]topology.NodeID, k+1)
-			n.hopScratchSh = make([][]routing.Hop, k+1)
-		}
-	}
 	return n, nil
-}
-
-// Partition returns the shard partition of a sharded network, or nil.
-func (n *Network) Partition() *topology.Partition { return n.part }
-
-// ownerOf returns the shard owning node, or -1 on a serial network.
-// Shard -1 is the serial class: the event executes on the coordinator
-// in exact global order.
-func (n *Network) ownerOf(node topology.NodeID) int32 {
-	if n.part == nil {
-		return -1
-	}
-	return int32(n.part.Owner(node))
-}
-
-// laneSrc recovers the source node of a channel lane from the mesh's
-// channel encoding (from·NDims + dim)·2 + dir — pure arithmetic, so
-// classification works on implicit topologies too.
-func (n *Network) laneSrc(lane topology.ChannelID) topology.NodeID {
-	return topology.NodeID(int(lane) / n.vcs / n.ndims2)
-}
-
-// laneOwner returns the shard owning a lane (its source node's shard),
-// or -1 on a serial network.
-func (n *Network) laneOwner(lane topology.ChannelID) int32 {
-	if n.part == nil {
-		return -1
-	}
-	return int32(n.part.Owner(n.laneSrc(lane)))
-}
-
-// scratch returns the next-hop candidate buffer for the executing
-// context: the shared serial buffer, or the context's own slot on a
-// sharded network.
-func (n *Network) scratch(env *sim.Env) *[]topology.NodeID {
-	if n.candScratchSh == nil {
-		return &n.candScratch
-	}
-	return &n.candScratchSh[env.Shard()+1]
-}
-
-// hopScratchFor is scratch for the channel-resolved candidate buffer.
-func (n *Network) hopScratchFor(env *sim.Env) *[]routing.Hop {
-	if n.hopScratchSh == nil {
-		return &n.hopScratch
-	}
-	return &n.hopScratchSh[env.Shard()+1]
 }
 
 // MustNew is New for known-good configurations; it panics on error.

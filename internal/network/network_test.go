@@ -222,22 +222,17 @@ func TestConfigValidation(t *testing.T) {
 		{Ts: -1, Beta: 0.003},
 		{Ts: 1, Beta: 0},
 		{Ts: 1, Beta: 0.01, HopDelay: -2},
-		// Sharded runs require every delay a shard-class event can
-		// schedule — the Ts-delayed injection grant and any positive
-		// DeadWait park timeout — to respect the per-hop lookahead.
-		{Ts: 0.001, Beta: 0.003, Shards: 2},
-		{Ts: 1, Beta: 0.003, DeadWait: 0.001, Shards: 2},
+		{Ts: 1, Beta: 0.003, VCs: -1},
+		{Ts: 1, Beta: 0.003, DeadWait: -1},
+		{Ts: 1, Beta: 0.003, Store: StoreLazy + 1},
 	}
 	for i, cfg := range bad {
 		if _, err := New(s, m, cfg); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
 	}
-	// A zero DeadWait schedules nothing (dead-ended worms drop on the
-	// spot), so it stays valid under sharding.
-	ok := Config{Ts: 1, Beta: 0.003, Shards: 2}
-	if _, err := New(sim.New(), m, ok); err != nil {
-		t.Errorf("valid sharded config rejected: %v", err)
+	if _, err := New(sim.New(), m, DefaultConfig()); err != nil {
+		t.Errorf("default config rejected: %v", err)
 	}
 }
 
@@ -262,7 +257,9 @@ func TestFIFOChannelQueue(t *testing.T) {
 }
 
 // TestHighContentionCompletes floods a small mesh with random worms
-// under DOR and checks everything drains (no simulated deadlock).
+// under DOR and checks everything drains (no simulated deadlock). A
+// probe audits the network's bookkeeping every microsecond while the
+// flood is in flight.
 func TestHighContentionCompletes(t *testing.T) {
 	s, m, n := testNet(t, 4, 4, 4)
 	rng := sim.NewRNG(5, 77)
@@ -279,7 +276,21 @@ func TestHighContentionCompletes(t *testing.T) {
 			OnDeliver: func(_ topology.NodeID, _ sim.Time) { done++ },
 		})
 	}
+	busy := 0
+	for at := sim.Time(0.5); at < 60; at++ {
+		s.At(at, func() {
+			if n.InFlight() > 0 {
+				busy++
+			}
+			if err := n.CheckInvariants(); err != nil {
+				t.Fatalf("t=%v: %v", s.Now(), err)
+			}
+		})
+	}
 	s.Run()
+	if busy == 0 {
+		t.Error("no probe saw worms in flight")
+	}
 	if done != worms {
 		t.Fatalf("only %d/%d worms delivered; stuck: %v", done, worms, n.Stuck())
 	}

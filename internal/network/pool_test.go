@@ -127,7 +127,6 @@ func TestWormPoolRecyclesCleanly(t *testing.T) {
 	w.grants = append(w.grants, 1, 2)
 	w.chans = append(w.chans, 3, 4)
 	w.deliver = append(w.deliver, 2)
-	w.relRecs = append(w.relRecs, laneRel{})
 	w.relCur, w.delCur = 1, 1
 	wantCap := cap(w.path)
 	n.putWorm(w)
@@ -137,7 +136,7 @@ func TestWormPoolRecyclesCleanly(t *testing.T) {
 	if len(w.path) != 0 || len(w.chans) != 0 || len(w.grants) != 0 || len(w.deliver) != 0 {
 		t.Error("recycled worm retains per-hop state")
 	}
-	if len(w.relRecs) != 0 || w.relCur != 0 || w.delCur != 0 {
+	if w.relCur != 0 || w.delCur != 0 {
 		t.Error("recycled worm retains drain cursors")
 	}
 	if cap(w.path) != wantCap || cap(w.chans) == 0 {

@@ -24,6 +24,9 @@ func (r *wormRing) Len() int { return r.n }
 // Cap returns the ring's current storage capacity.
 func (r *wormRing) Cap() int { return len(r.buf) }
 
+// at returns the i-th queued worm, 0 being the head.
+func (r *wormRing) at(i int) *worm { return r.buf[(r.head+i)&(len(r.buf)-1)] }
+
 // Push appends w at the tail.
 func (r *wormRing) Push(w *worm) {
 	if r.n == len(r.buf) {

@@ -38,31 +38,28 @@ func (c ChannelStats) Utilization(now sim.Time) float64 {
 	return u
 }
 
-// noteAcquire records the moment a channel lane is granted. The
-// caller passes its context's clock: on a shard worker the
-// simulator-wide clock is not readable mid-segment, and all counters
-// here are lane-indexed, so concurrent shards write disjoint entries.
-func (n *Network) noteAcquire(lane topology.ChannelID, now sim.Time) {
+// noteAcquire records the moment a channel lane is granted.
+func (n *Network) noteAcquire(lane topology.ChannelID) {
 	if n.lazy == nil {
-		n.busySince[lane] = now
+		n.busySince[lane] = n.sim.Now()
 		n.acquires[lane]++
 		return
 	}
 	// The lane's page exists: acquire writes the holder before the
 	// note, and the counters live in the same page.
 	p := n.lazy.lanePageFor(int(lane))
-	p.busySince[int(lane)&pageMask] = now
+	p.busySince[int(lane)&pageMask] = n.sim.Now()
 	p.acquires[int(lane)&pageMask]++
 }
 
 // noteRelease accumulates the busy interval that just ended.
-func (n *Network) noteRelease(lane topology.ChannelID, now sim.Time) {
+func (n *Network) noteRelease(lane topology.ChannelID) {
 	if n.lazy == nil {
-		n.busyTime[lane] += now - n.busySince[lane]
+		n.busyTime[lane] += n.sim.Now() - n.busySince[lane]
 		return
 	}
 	p := n.lazy.lanePageFor(int(lane))
-	p.busyTime[int(lane)&pageMask] += now - p.busySince[int(lane)&pageMask]
+	p.busyTime[int(lane)&pageMask] += n.sim.Now() - p.busySince[int(lane)&pageMask]
 }
 
 // laneBusy returns one lane's accumulated busy time and acquire
@@ -71,7 +68,7 @@ func (n *Network) laneBusy(l int) (sim.Time, uint64) {
 	if n.lazy == nil {
 		return n.busyTime[l], n.acquires[l]
 	}
-	p := n.lazy.lanePages[l>>pageBits].Load()
+	p := n.lazy.lanePages[l>>pageBits]
 	if p == nil {
 		return 0, 0
 	}
@@ -139,8 +136,7 @@ func (n *Network) MeanUtilization() float64 {
 	} else {
 		// Same lane order as the dense walk — untouched pages hold only
 		// zeros, so skipping them changes nothing.
-		for i := range n.lazy.lanePages {
-			p := n.lazy.lanePages[i].Load()
+		for _, p := range n.lazy.lanePages {
 			if p == nil {
 				continue
 			}

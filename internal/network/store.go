@@ -1,8 +1,6 @@
 package network
 
 import (
-	"sync/atomic"
-
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -92,43 +90,27 @@ type portPage struct {
 // lazyStore is the paged store: page pointer tables sized at New
 // (8 bytes per 512 lanes/nodes), pages allocated on first write
 // intent.
-//
-// Lane pages install via compare-and-swap: on a sharded network two
-// workers may first-touch lanes of the same page concurrently (a page
-// spans several nodes and can straddle a shard boundary). The lanes
-// themselves are disjoint per shard — only the page pointer and the
-// live-page counter are shared, and losing the CAS just means using
-// the winner's page. Port pages stay plain pointers: injection-port
-// events are serial-class and only ever run on the coordinator.
 type lazyStore struct {
-	lanePages []atomic.Pointer[lanePage]
+	lanePages []*lanePage
 	portPages []*portPage
 	// livePages counts allocated pages of both kinds; the scale tests
 	// assert it stays far below the table lengths under light load.
-	// The count is deterministic even under sharding: the set of
-	// touched pages is a function of the simulation, and CAS losers do
-	// not count.
-	livePages atomic.Int64
+	livePages int
 }
 
 func newLazyStore(lanes, nodes int) *lazyStore {
 	return &lazyStore{
-		lanePages: make([]atomic.Pointer[lanePage], (lanes+pageMask)>>pageBits),
+		lanePages: make([]*lanePage, (lanes+pageMask)>>pageBits),
 		portPages: make([]*portPage, (nodes+pageMask)>>pageBits),
 	}
 }
 
 func (s *lazyStore) lanePageFor(lane int) *lanePage {
-	slot := &s.lanePages[lane>>pageBits]
-	p := slot.Load()
+	p := s.lanePages[lane>>pageBits]
 	if p == nil {
-		fresh := &lanePage{}
-		if slot.CompareAndSwap(nil, fresh) {
-			s.livePages.Add(1)
-			p = fresh
-		} else {
-			p = slot.Load()
-		}
+		p = &lanePage{}
+		s.lanePages[lane>>pageBits] = p
+		s.livePages++
 	}
 	return p
 }
@@ -145,7 +127,7 @@ func (n *Network) port(node topology.NodeID) *portState {
 	if p == nil {
 		p = &portPage{}
 		s.portPages[int(node)>>pageBits] = p
-		s.livePages.Add(1)
+		s.livePages++
 	}
 	return &p.ports[int(node)&pageMask]
 }
@@ -167,7 +149,7 @@ func (n *Network) laneFree(lane topology.ChannelID) bool {
 	if n.lazy == nil {
 		return n.channels[lane].holder == nil
 	}
-	p := n.lazy.lanePages[int(lane)>>pageBits].Load()
+	p := n.lazy.lanePages[int(lane)>>pageBits]
 	return p == nil || p.ch[int(lane)&pageMask].holder == nil
 }
 
@@ -178,7 +160,7 @@ func (n *Network) laneIfTouched(lane topology.ChannelID) *channelState {
 	if n.lazy == nil {
 		return &n.channels[lane]
 	}
-	p := n.lazy.lanePages[int(lane)>>pageBits].Load()
+	p := n.lazy.lanePages[int(lane)>>pageBits]
 	if p == nil {
 		return nil
 	}
@@ -191,5 +173,5 @@ func (n *Network) LazyStore() (lazy bool, livePages int) {
 	if n.lazy == nil {
 		return false, 0
 	}
-	return true, int(n.lazy.livePages.Load())
+	return true, n.lazy.livePages
 }

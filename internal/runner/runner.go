@@ -15,7 +15,7 @@
 //
 // The package deliberately has no dependency on the simulation
 // layers; it orchestrates arbitrary jobs and is the seam future
-// scaling work (sharded sweeps, multi-backend dispatch) plugs into.
+// scaling work (multi-backend dispatch) plugs into.
 //
 // Typical use:
 //

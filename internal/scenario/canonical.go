@@ -9,10 +9,9 @@ package scenario
 // property.
 //
 // The canonical form is the spec AFTER applyDefaults and validate,
-// with the orchestration-only knobs removed: Procs, Progress and
-// Shards change how fast a run executes, never what it produces
-// (Procs pinned since PR 1; Shards pinned by the PR 9 sharded
-// differential suite and golden identity tests), so they must not
+// with the orchestration-only knobs removed: Procs and Progress
+// change how fast a run executes and how it reports, never what it
+// produces (pinned by the procs-determinism tests), so they must not
 // split the cache. Everything else — headings included, since they
 // appear in the rendered artifact — is part of the key.
 

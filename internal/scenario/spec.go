@@ -227,15 +227,6 @@ type Spec struct {
 	// 10× the measured window, 3× on meshes above 1024 nodes).
 	MaxInjected int
 
-	// Shards partitions EACH simulation across this many shard
-	// calendars of the conservative-parallel kernel (internal/sim).
-	// 0 or 1 is the serial kernel. Like Procs, Shards is an
-	// orchestration knob: output is bit-identical at every shard
-	// count (the kernel's core guarantee), so it is excluded from the
-	// canonical cache key. Shards multiply threads per simulation, so
-	// the run loop divides the default worker-pool width by Shards to
-	// keep total thread count at one per core.
-	Shards int
 	// Reps is the replication count: replications per point
 	// (uncontended), measured broadcasts per study (contended).
 	// Default 40; the ablations register 10.
@@ -523,9 +514,6 @@ func (s *Spec) validate() error {
 	}
 	if s.Reps <= 0 {
 		return fmt.Errorf("scenario %s: non-positive replication count %d", s.Name, s.Reps)
-	}
-	if s.Shards < 0 {
-		return fmt.Errorf("scenario %s: negative shard count %d", s.Name, s.Shards)
 	}
 	switch s.Artifact {
 	case ArtifactFigure:

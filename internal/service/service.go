@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -43,6 +44,11 @@ var ErrBusy = errors.New("service: admission queue full, retry later")
 
 // DefaultCacheBytes is the result cache's default byte budget.
 const DefaultCacheBytes = 64 << 20 // 64 MiB
+
+// maxRequestBytes bounds a POST /v1/run body. A RunRequest carrying an
+// inline spec encodes to a few KiB, so 1 MiB is ample; a larger body
+// is answered 413 before any of it is resolved or simulated.
+const maxRequestBytes = 1 << 20
 
 // Config sizes the server. Zero values pick serving defaults.
 type Config struct {
@@ -132,6 +138,19 @@ type RunRequest struct {
 	// Format selects the response body encoding: "json" (default),
 	// "csv" (byte-identical to cmd/sweep), or "text".
 	Format string `json:"format,omitempty"`
+}
+
+// decodeRequest parses one RunRequest JSON body. Unknown fields are
+// errors, so a misspelled override is rejected instead of silently
+// running the default.
+func decodeRequest(r io.Reader) (*RunRequest, error) {
+	var req RunRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, err
+	}
+	return &req, nil
 }
 
 // resolve turns a request into the spec to run plus its cache
@@ -330,16 +349,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST a RunRequest JSON body", http.StatusMethodNotAllowed)
 		return
 	}
-	var req RunRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
 		s.metrics.failures.Add(1)
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 
-	body, outcome, key, err := s.Run(r.Context(), &req)
+	body, outcome, key, err := s.Run(r.Context(), req)
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrBusy):

@@ -257,6 +257,24 @@ func TestHTTPSurface(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected posts a syntactically valid request whose
+// body exceeds the 1 MiB limit: the server must answer 413 without
+// resolving or simulating anything.
+func TestOversizedBodyRejected(t *testing.T) {
+	s := service.New(service.Config{Procs: 1, QueueCap: 4})
+	defer s.Close()
+
+	body := `{"scenario":"` + strings.Repeat("x", 2<<20) + `","format":"csv"}`
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized POST: status %d, want 413", rec.Code)
+	}
+	if c := s.Counts(); c.Requests != 0 || c.Misses != 0 {
+		t.Errorf("oversized body reached the run path: counts = %+v", c)
+	}
+}
+
 func TestCacheEviction(t *testing.T) {
 	// Learn one rendered body's size, then budget the cache for two
 	// bodies so the third insertion must evict the LRU entry.

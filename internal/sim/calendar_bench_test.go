@@ -33,7 +33,7 @@ func holdQueue(kind Calendar, n int) (calendar, uint64) {
 	rng := xorshift64(2005)
 	var seq uint64
 	for i := 0; i < n; i++ {
-		q.push(event{due: rng.float01() * 4, seq: seq, fn: func(*Env, any) {}})
+		q.push(event{due: rng.float01() * 4, seq: seq, fn: func(*Simulator, any) {}})
 		seq++
 	}
 	return q, seq

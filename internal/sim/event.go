@@ -20,11 +20,9 @@ type Action func()
 // state: a Func plus an arg already in hand costs no allocation per
 // event, where a closure costs one. arg is typically a pointer (the
 // worm, the injector) so boxing it into the interface is free too.
-// The Env names the executing context — current time plus the
-// scheduling entry points; on a sharded simulator (shard.go) it is how
-// an event body running on a worker thread schedules follow-up events
-// without touching shared calendar state.
-type Func func(env *Env, arg any)
+// s is the simulator executing the record: the body reads the clock
+// and schedules follow-up records through it.
+type Func func(s *Simulator, arg any)
 
 // event is a calendar entry: an action record (fn, arg) due at a
 // time. seq breaks ties between events due at the same instant so

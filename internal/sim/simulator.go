@@ -83,7 +83,7 @@ func DefaultWavefront() bool { return !wavefrontOff.Load() }
 // how many calendar records they carried, and a log2 histogram of
 // batch sizes in records (Hist[k] counts wavefronts of size in
 // [2^k, 2^(k+1))). It counts calendar records, not model events: a
-// record that folds several same-instant actions (see Env.AddFired)
+// record that folds several same-instant actions (see AddFired)
 // is one entry here, so Events can be smaller than Fired.
 type WavefrontStats struct {
 	Batches uint64
@@ -114,13 +114,6 @@ type Simulator struct {
 	wf      bool
 	wfBuf   []event
 	wfStats WavefrontStats
-	// env is the coordinator execution context handed to every event
-	// body that runs on this thread (all of them, on a serial
-	// simulator).
-	env Env
-	// sh is the conservative-parallel kernel state; nil on a serial
-	// simulator (see shard.go).
-	sh *sharded
 }
 
 // New returns an empty simulator with the clock at zero, backed by the
@@ -134,7 +127,6 @@ func New() *Simulator {
 // calendar implementation.
 func NewWithCalendar(c Calendar) *Simulator {
 	s := &Simulator{kind: c, wf: DefaultWavefront()}
-	s.env = Env{shard: -1, s: s}
 	switch c {
 	case Ladder:
 		s.lq = newLadderQueue()
@@ -155,8 +147,7 @@ func (s *Simulator) Calendar() Calendar { return s.kind }
 func (s *Simulator) Wavefront() bool { return s.wf }
 
 // WavefrontStats returns the batch-size census accumulated so far.
-// All counters stay zero when wavefront execution is off or the
-// simulator runs sharded (shard segments keep their own drains).
+// All counters stay zero when wavefront execution is off.
 func (s *Simulator) WavefrontStats() WavefrontStats { return s.wfStats }
 
 // Now returns the current simulated time.
@@ -165,9 +156,15 @@ func (s *Simulator) Now() Time { return s.now }
 // Fired reports how many model events have executed so far. A model
 // event is one action the model performs; it is usually one calendar
 // record, but a record that folds several same-instant actions
-// reports the extras through Env.AddFired, so Fired is the same
-// whether or not a model folds its records.
+// reports the extras through AddFired, so Fired is the same whether
+// or not a model folds its records.
 func (s *Simulator) Fired() uint64 { return s.fired }
+
+// AddFired reports n model events the running record executed in
+// addition to itself. A record that folds several actions due at one
+// instant counts as one fired event when it is popped; it reports the
+// rest here, so Fired and the event limit keep counting model events.
+func (s *Simulator) AddFired(n int) { s.fired += uint64(n) }
 
 // SetEventLimit installs a safety limit on the number of model events
 // (as counted by Fired) a Run call may execute; 0 disables the limit.
@@ -180,7 +177,7 @@ func (s *Simulator) SetEventLimit(n uint64) { s.limit = n }
 // calendar. An Action is a single pointer, so boxing it into the
 // record's arg is allocation-free; only the closure the caller built
 // costs an allocation.
-func runClosure(_ *Env, arg any) { arg.(Action)() }
+func runClosure(_ *Simulator, arg any) { arg.(Action)() }
 
 // At schedules action to run at absolute time t. Scheduling in the
 // past panics: it is always a logic error in a discrete-event model.
@@ -237,15 +234,8 @@ func (s *Simulator) AfterCall(delay Time, fn Func, arg any) {
 	s.AtCall(s.now+delay, fn, arg)
 }
 
-// Pending reports the number of events waiting on the calendar (all
-// shard calendars included on a sharded simulator).
-func (s *Simulator) Pending() int {
-	p := s.queue.Len()
-	if s.sh != nil {
-		p += s.sh.pending()
-	}
-	return p
-}
+// Pending reports the number of events waiting on the calendar.
+func (s *Simulator) Pending() int { return s.queue.Len() }
 
 // Stop ends the simulation: the running Run/RunUntil loop exits after
 // the current event returns, and any further scheduling panics with a
@@ -258,14 +248,8 @@ func (s *Simulator) Stop() { s.stopped = true }
 func (s *Simulator) Stopped() bool { return s.stopped }
 
 // Step executes the earliest pending event, advancing the clock to its
-// due time. It reports whether an event was executed. Step is a serial
-// debugging entry point: on a sharded simulator it would pop only the
-// serial calendar and execute events out of global order, so it panics
-// there — drive a sharded kernel with Run or RunUntil.
+// due time. It reports whether an event was executed.
 func (s *Simulator) Step() bool {
-	if s.sh != nil {
-		panic("sim: Step on a sharded simulator (use Run or RunUntil)")
-	}
 	if s.stopped {
 		return false
 	}
@@ -283,19 +267,12 @@ func (s *Simulator) Step() bool {
 	}
 	s.now = e.due
 	s.fired++
-	e.fn(&s.env, e.arg)
+	e.fn(s, e.arg)
 	return true
 }
 
 // Run executes events until the calendar is empty or Stop is called.
-// On a sharded simulator (EnableSharding) this is the coordinator of
-// the conservative-parallel kernel; worker goroutines live only for
-// the duration of the call.
 func (s *Simulator) Run() {
-	if s.sh != nil {
-		s.runSharded(math.Inf(1))
-		return
-	}
 	if s.wf && s.limit == 0 {
 		s.runWavefronts(math.Inf(1))
 		return
@@ -311,16 +288,6 @@ func (s *Simulator) Run() {
 // horizon if the calendar still holds later events, or at the last
 // executed event otherwise, in which case ErrStalled is returned.
 func (s *Simulator) RunUntil(horizon Time) error {
-	if s.sh != nil {
-		s.runSharded(horizon)
-		if s.Pending() == 0 {
-			return ErrStalled
-		}
-		if !s.stopped {
-			s.now = horizon
-		}
-		return nil
-	}
 	if s.wf && s.limit == 0 {
 		s.runWavefronts(horizon)
 	} else {
@@ -382,7 +349,7 @@ func (s *Simulator) runWavefronts(horizon Time) {
 				break
 			}
 			s.fired++
-			wf[k].fn(&s.env, wf[k].arg)
+			wf[k].fn(s, wf[k].arg)
 		}
 		s.wfBuf = wf
 	}

@@ -77,8 +77,8 @@ func TestWavefrontMatchesPopRegimes(t *testing.T) {
 				var seq uint64
 				var buf []event
 				push := func(due Time) {
-					batched.push(event{due: due, seq: seq, fn: func(*Env, any) {}})
-					serial.push(event{due: due, seq: seq, fn: func(*Env, any) {}})
+					batched.push(event{due: due, seq: seq, fn: func(*Simulator, any) {}})
+					serial.push(event{due: due, seq: seq, fn: func(*Simulator, any) {}})
 					seq++
 				}
 				for step := 0; step < 30000; step++ {
@@ -112,8 +112,7 @@ func TestWavefrontMatchesPopRegimes(t *testing.T) {
 	}
 }
 
-// TestWavefrontBoundQuick checks the exclusive (limDue, limSeq) bound
-// — the contract the sharded kernel's conservative segments rely on:
+// TestWavefrontBoundQuick checks the exclusive (limDue, limSeq) bound:
 // a bounded wavefront yields exactly the front events strictly below
 // the bound, and never splits an instant's order.
 func TestWavefrontBoundQuick(t *testing.T) {
@@ -122,7 +121,7 @@ func TestWavefrontBoundQuick(t *testing.T) {
 		ladder := calendar(newLadderQueue())
 		for i, v := range raw {
 			due := Time(v%97) * math.Exp2(float64(v%11)-5)
-			e := event{due: due, seq: uint64(i), fn: func(*Env, any) {}}
+			e := event{due: due, seq: uint64(i), fn: func(*Simulator, any) {}}
 			heap.push(e)
 			ladder.push(e)
 		}

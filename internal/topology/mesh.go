@@ -406,3 +406,44 @@ func (m *Mesh) Diameter() int {
 	}
 	return total
 }
+
+// Plane returns all nodes whose coordinate along dimension d equals v,
+// in increasing node-ID order. For a 3D mesh, Plane(2, z) is the z-th
+// XY plane the AB algorithm treats as a 2D sub-mesh.
+func (m *Mesh) Plane(d, v int) []NodeID {
+	if v < 0 || v >= m.dims[d] {
+		panic(fmt.Sprintf("topology: plane index %d out of range in dim %d", v, d))
+	}
+	out := make([]NodeID, 0, m.n/m.dims[d])
+	for id := 0; id < m.n; id++ {
+		if m.CoordAxis(NodeID(id), d) == v {
+			out = append(out, NodeID(id))
+		}
+	}
+	return out
+}
+
+// NearestCornerInPlane returns the corner of the (d0,d1) plane through
+// node id closest to id (Manhattan distance within the plane), and the
+// opposite corner of that plane. The AB algorithm's first step routes
+// to exactly these two nodes.
+func (m *Mesh) NearestCornerInPlane(id NodeID, d0, d1 int) (nearest, opposite NodeID) {
+	coord := m.Coord(id)
+	c0, c1 := coord[d0], coord[d1]
+	lo0 := c0 < m.dims[d0]-c0 // closer to 0 along d0?
+	lo1 := c1 < m.dims[d1]-c1
+
+	near := append([]int(nil), coord...)
+	opp := append([]int(nil), coord...)
+	if lo0 {
+		near[d0], opp[d0] = 0, m.dims[d0]-1
+	} else {
+		near[d0], opp[d0] = m.dims[d0]-1, 0
+	}
+	if lo1 {
+		near[d1], opp[d1] = 0, m.dims[d1]-1
+	} else {
+		near[d1], opp[d1] = m.dims[d1]-1, 0
+	}
+	return m.ID(near...), m.ID(opp...)
+}

@@ -240,3 +240,94 @@ func TestHypercubeChannels(t *testing.T) {
 		t.Error("self channel exists")
 	}
 }
+
+// The plane helpers are pure coordinate arithmetic: they must not
+// care whether the substrate is a mesh or a torus, materialized or
+// implicit. Each test therefore runs on all four flavours of one
+// shape.
+
+func substrates(dims ...int) map[string]*Mesh {
+	return map[string]*Mesh{
+		"mesh":           NewMesh(dims...),
+		"mesh-implicit":  NewMeshImplicit(dims...),
+		"torus":          NewTorus(dims...),
+		"torus-implicit": NewTorusImplicit(dims...),
+	}
+}
+
+func TestPlane(t *testing.T) {
+	for name, m := range substrates(3, 4, 2) {
+		// Planes along one dimension tile the node set exactly.
+		for d := 0; d < m.NDims(); d++ {
+			seen := make(map[NodeID]bool, m.Nodes())
+			for v := 0; v < m.Dim(d); v++ {
+				plane := m.Plane(d, v)
+				if len(plane) != m.Nodes()/m.Dim(d) {
+					t.Errorf("%s: Plane(%d,%d) has %d nodes, want %d", name, d, v, len(plane), m.Nodes()/m.Dim(d))
+				}
+				for i, id := range plane {
+					if m.CoordAxis(id, d) != v {
+						t.Errorf("%s: Plane(%d,%d) contains %d with coord %d", name, d, v, id, m.CoordAxis(id, d))
+					}
+					if i > 0 && plane[i-1] >= id {
+						t.Errorf("%s: Plane(%d,%d) not in increasing ID order at %d", name, d, v, i)
+					}
+					if seen[id] {
+						t.Errorf("%s: node %d in two planes along dim %d", name, id, d)
+					}
+					seen[id] = true
+				}
+			}
+			if len(seen) != m.Nodes() {
+				t.Errorf("%s: planes along dim %d cover %d of %d nodes", name, d, len(seen), m.Nodes())
+			}
+		}
+	}
+}
+
+func TestPlaneOutOfRangePanics(t *testing.T) {
+	m := NewMesh(3, 3)
+	for _, v := range []int{-1, 3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Plane(0, %d) did not panic", v)
+				}
+			}()
+			m.Plane(0, v)
+		}()
+	}
+}
+
+func TestNearestCornerInPlane(t *testing.T) {
+	for name, m := range substrates(5, 4, 3) {
+		// (1,3,2): x=1 is nearer 0 than 4; y=3 is nearer 3 than 0.
+		near, opp := m.NearestCornerInPlane(m.ID(1, 3, 2), 0, 1)
+		if want := m.ID(0, 3, 2); near != want {
+			t.Errorf("%s: nearest = %d (%v), want %d", name, near, m.Coord(near), want)
+		}
+		if want := m.ID(4, 0, 2); opp != want {
+			t.Errorf("%s: opposite = %d (%v), want %d", name, opp, m.Coord(opp), want)
+		}
+		// Nearest and opposite disagree in both plane coordinates and
+		// share every off-plane coordinate, for every node.
+		for id := 0; id < m.Nodes(); id++ {
+			n, o := m.NearestCornerInPlane(NodeID(id), 0, 1)
+			for _, d := range []int{0, 1} {
+				cn, co := m.CoordAxis(n, d), m.CoordAxis(o, d)
+				if cn != 0 && cn != m.Dim(d)-1 {
+					t.Fatalf("%s: node %d nearest coord %d = %d, not extremal", name, id, d, cn)
+				}
+				if co != m.Dim(d)-1-cn {
+					t.Fatalf("%s: node %d corners not opposite in dim %d", name, id, d)
+				}
+			}
+			if m.CoordAxis(n, 2) != m.CoordAxis(NodeID(id), 2) || m.CoordAxis(o, 2) != m.CoordAxis(NodeID(id), 2) {
+				t.Fatalf("%s: node %d corners left the plane", name, id)
+			}
+			if d := m.Unwrapped().Distance(NodeID(id), n); d > (m.Dim(0)-1+m.Dim(1)-1)/2+1 {
+				t.Fatalf("%s: node %d nearest corner at mesh distance %d, not nearest", name, id, d)
+			}
+		}
+	}
+}

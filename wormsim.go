@@ -484,10 +484,6 @@ var (
 	// WithStore selects the substrate memory model: "auto" (default),
 	// "dense", or "lazy" ("" keeps the registered mode).
 	WithStore = scenario.WithStore
-	// WithShards partitions each simulation across k shard calendars
-	// of the conservative-parallel kernel (<= 1 keeps the serial
-	// kernel); output is bit-identical at every shard count.
-	WithShards = scenario.WithShards
 )
 
 // FaultSpec declares a scenario's deterministic fault injection:
