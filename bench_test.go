@@ -121,48 +121,29 @@ func BenchmarkFig2Saturation(b *testing.B) {
 	}
 }
 
-// BenchmarkFig2SaturationCalendar runs the saturation workload under
-// each event-calendar implementation (the default ladder queue and
-// the legacy binary heap) so the kernel data structures can be
-// compared head to head: identical simulation, identical events/op,
-// different events/sec. The committed heap-vs-ladder numbers live in
-// BENCH_pr4.json (see cmd/paperbench -benchjson/-calendar). The torus
-// cases run the same workload on the wraparound twin of the bench
-// mesh with two dateline VCs — the torus bench phase of
-// BENCH_pr5.json (paperbench -benchtopo torus) measures the same
-// thing.
-func BenchmarkFig2SaturationCalendar(b *testing.B) {
-	defer wormsim.SetDefaultCalendar(wormsim.CalendarLadder)
-	topos := []struct {
-		name string
-		m    *wormsim.Mesh
-		vcs  int
-	}{
-		{"mesh", wormsim.NewMesh(wormsim.SaturationDims()...), 0},
-		{"torus", wormsim.NewTorus(wormsim.SaturationDims()...), 2},
-	}
-	for _, cal := range []wormsim.Calendar{wormsim.CalendarHeap, wormsim.CalendarLadder} {
-		for _, topo := range topos {
-			for _, algo := range wormsim.Algorithms() {
-				b.Run(fmt.Sprintf("%s/%s/%s", cal, topo.name, algo.Name()), func(b *testing.B) {
-					wormsim.SetDefaultCalendar(cal)
-					cfg := wormsim.SaturationConfig(2005)
-					cfg.Net.VCs = topo.vcs
-					b.ReportAllocs()
-					var events uint64
-					for i := 0; i < b.N; i++ {
-						st, err := wormsim.ContendedCVStudy(topo.m, algo, cfg)
-						if err != nil {
-							b.Fatal(err)
-						}
-						events = st.Events
-					}
-					if s := b.Elapsed().Seconds(); s > 0 {
-						b.ReportMetric(float64(events)*float64(b.N)/s, "events/sec")
-					}
-				})
+// BenchmarkFig2SaturationTorus runs the saturation workload on the
+// wraparound twin of the bench mesh with two dateline VCs — the torus
+// bench phase of BENCH_pr5.json (paperbench -benchtopo torus)
+// measures the same thing.
+func BenchmarkFig2SaturationTorus(b *testing.B) {
+	m := wormsim.NewTorus(wormsim.SaturationDims()...)
+	for _, algo := range wormsim.Algorithms() {
+		b.Run(algo.Name(), func(b *testing.B) {
+			cfg := wormsim.SaturationConfig(2005)
+			cfg.Net.VCs = 2
+			b.ReportAllocs()
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				st, err := wormsim.ContendedCVStudy(m, algo, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				events = st.Events
 			}
-		}
+			if s := b.Elapsed().Seconds(); s > 0 {
+				b.ReportMetric(float64(events)*float64(b.N)/s, "events/sec")
+			}
+		})
 	}
 }
 

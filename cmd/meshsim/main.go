@@ -9,17 +9,15 @@
 //	meshsim -mesh 8x8x8 -algo DB -mode mixed -rate 2.5
 //	meshsim -mesh 8x8x8 -topo torus -algo AB          # dateline VCs
 //	meshsim -mesh 64x64x32 -store lazy -algo RD       # paged state
-//	meshsim -mesh 8x8x8 -calendar heap -mode cv       # legacy kernel
 //	meshsim -mesh 8x8x8 -mode cv -faults 8            # degraded study
 //
-// The -topo, -store, -calendar and -faults flags mirror cmd/sweep's:
-// torus topologies run with two dateline virtual channels per
-// physical channel, "lazy" pages network state in on first contention
-// (with implicit adjacency, so huge shapes need no up-front
-// allocation), the calendar selects the kernel's event queue, and
+// The -topo, -store and -faults flags mirror cmd/sweep's: torus
+// topologies run with two dateline virtual channels per physical
+// channel, "lazy" pages network state in on first contention (with
+// implicit adjacency, so huge shapes need no up-front allocation), and
 // -faults fails that many random undirected links before traffic
 // starts (cv mode, reported as a coverage/drop study). Output is
-// byte-identical across stores and calendars at a fixed seed.
+// byte-identical across stores at a fixed seed.
 package main
 
 import (
@@ -48,16 +46,9 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		topoKind = flag.String("topo", "mesh", "topology: mesh or torus (torus runs two dateline VCs)")
 		storeN   = flag.String("store", "auto", "substrate memory model: auto, dense, or lazy")
-		calName  = flag.String("calendar", "ladder", "event calendar backing the kernel: ladder or heap")
 		faults   = flag.Int("faults", 0, "fail this many random undirected links before traffic starts (cv mode only)")
 	)
 	flag.Parse()
-
-	cal, err := wormsim.ParseCalendar(*calName)
-	if err != nil {
-		fatal(err)
-	}
-	wormsim.SetDefaultCalendar(cal)
 
 	store, err := parseStore(*storeN)
 	if err != nil {

@@ -56,12 +56,14 @@ type benchResult struct {
 	MeanCV float64 `json:"mean_cv"`
 }
 
-// benchPhase is one measurement pass (e.g. "heap", "ladder",
-// "torus"). Topo records the topology kind the phase ran on ("mesh"
-// when empty); the torus phase runs the same saturation workload on
-// the wraparound twin of the bench mesh with two dateline VCs, so one
-// artifact carries the mesh trajectory and the torus datapoint side
-// by side. Store records the substrate memory model of a scale-
+// benchPhase is one measurement pass (e.g. "ladder", "torus").
+// Calendar records the event calendar the phase ran on: always
+// benchCalendar now, "heap" on phases committed before the binary-heap
+// calendar was retired. Topo records the topology kind the phase ran
+// on ("mesh" when empty); the torus phase runs the same saturation
+// workload on the wraparound twin of the bench mesh with two dateline
+// VCs, so one artifact carries the mesh trajectory and the torus
+// datapoint side by side. Store records the substrate memory model of a scale-
 // workload phase ("dense" or "lazy"; empty on the trajectory phases,
 // which always measure the dense store). Older artifacts may carry
 // fields this struct no longer names; decoding ignores them.
@@ -73,6 +75,11 @@ type benchPhase struct {
 	Store     string        `json:"store,omitempty"`
 	Results   []benchResult `json:"results"`
 }
+
+// benchCalendar is the calendar every new phase records: the kernel's
+// only one. The summary's kernel-coherence checks compare it against
+// the "heap" phases of committed artifacts.
+const benchCalendar = "ladder"
 
 // benchSummary compares two phases of one artifact: "heap" vs
 // "ladder" when both are present, else "baseline" vs "optimized".
@@ -160,21 +167,16 @@ func runBenchSaturation(path, phase, topo string) error {
 		return fmt.Errorf("paperbench: -benchphase %s is a scale-workload phase; pass -benchworkload scale", phase)
 	}
 
-	// A phase named after a calendar must be measured on that
-	// calendar: a mislabeled phase would silently corrupt the
-	// heap-vs-ladder summary and the regression guard.
-	activeCal := wormsim.DefaultCalendar().String()
-	for _, known := range []string{"heap", "ladder"} {
-		if phase == known && activeCal != known {
-			return fmt.Errorf("paperbench: -benchphase %s but -calendar %s; pass -calendar %s (or rename the phase)",
-				phase, activeCal, known)
-		}
+	// "heap" names phases measured on the retired binary-heap
+	// calendar; committed artifacts keep them, new runs cannot add one.
+	if phase == "heap" {
+		return fmt.Errorf("paperbench: -benchphase heap names the retired heap calendar; the kernel runs only the ladder (record under -benchphase ladder)")
 	}
 	// The trajectory phase names are reserved for the mesh workload:
 	// recording a torus measurement under them would corrupt every
 	// cross-PR comparison. The torus datapoint lives under "torus".
 	if topo == "torus" {
-		for _, reserved := range []string{"heap", "ladder", "baseline", "optimized"} {
+		for _, reserved := range []string{"ladder", "baseline", "optimized"} {
 			if phase == reserved {
 				return fmt.Errorf("paperbench: -benchphase %s is a mesh trajectory phase; record the torus run under -benchphase torus", phase)
 			}
@@ -187,20 +189,6 @@ func runBenchSaturation(path, phase, topo string) error {
 	file, err := loadOrInitBenchFile(path)
 	if err != nil {
 		return err
-	}
-	// Same-kernel phase pairs must stay same-kernel: refuse to record
-	// a baseline/optimized (or ladder/torus) phase on a different
-	// calendar than its already-recorded partner — the summary would
-	// attribute the calendar's speedup to whatever the phase pair
-	// claims to measure.
-	for _, pair := range [][2]string{{"baseline", "optimized"}, {"optimized", "baseline"}, {"torus", "ladder"}, {"ladder", "torus"}} {
-		if phase != pair[0] {
-			continue
-		}
-		if partner := file.Phases[pair[1]]; partner != nil && partner.Calendar != "" && partner.Calendar != activeCal {
-			return fmt.Errorf("paperbench: phase %q was recorded on the %s calendar but -calendar is %s; the %s/%s pair must share a kernel",
-				pair[1], partner.Calendar, activeCal, pair[0], pair[1])
-		}
 	}
 
 	seed := uint64(2005)
@@ -226,7 +214,7 @@ func runBenchSaturation(path, phase, topo string) error {
 	p := &benchPhase{
 		Recorded:  time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
-		Calendar:  activeCal,
+		Calendar:  benchCalendar,
 	}
 	if topo == "torus" {
 		p.Topo = topo
@@ -305,17 +293,6 @@ func runBenchScale(path, phase string) error {
 	}); err != nil {
 		return err
 	}
-	// The dense/lazy pair must share a kernel, or the pair's ns ratio
-	// would attribute the calendar's speedup to the store.
-	activeCal := wormsim.DefaultCalendar().String()
-	partnerName := "lazy"
-	if phase == "lazy" {
-		partnerName = "dense"
-	}
-	if partner := file.Phases[partnerName]; partner != nil && partner.Calendar != "" && partner.Calendar != activeCal {
-		return fmt.Errorf("paperbench: phase %q was recorded on the %s calendar but -calendar is %s; the %s/%s pair must share a kernel",
-			partnerName, partner.Calendar, activeCal, partnerName, phase)
-	}
 
 	cfg := wormsim.DefaultConfig()
 	var m *topology.Mesh
@@ -335,7 +312,7 @@ func runBenchScale(path, phase string) error {
 	p := &benchPhase{
 		Recorded:  time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
-		Calendar:  activeCal,
+		Calendar:  benchCalendar,
 		Store:     phase,
 	}
 	var events uint64
@@ -458,8 +435,8 @@ func summarizeFile(file *benchFile) *benchSummary {
 	// A pair is only summarized when its phases' recorded calendars
 	// are coherent: heap/ladder phases must be measured on the
 	// calendar they are named after, and a baseline/optimized pair
-	// must share one kernel. (runBenchJSON refuses to record such
-	// artifacts; this guards hand-edited or merged ones.)
+	// must share one kernel. (New phases all record the ladder; this
+	// guards committed heap-era and hand-edited artifacts.)
 	coherent := func(name string, p *benchPhase) bool {
 		if p == nil {
 			return false

@@ -11,15 +11,6 @@
 // up by name; this command only sequences them in the paper's order
 // and renders the results.
 //
-// The event-calendar knob (-calendar ladder|heap) selects the
-// simulation kernel's calendar for everything the command runs. The
-// ladder queue is the default; the legacy binary heap is kept for
-// cross-checking and for measuring the ladder's speedup. Output is
-// byte-identical either way — only wall time changes. The -wavefront
-// knob (default on) selects batched execution of same-instant events;
-// -wavefront=false pops one event at a time, and the output must
-// again diff empty — CI pins both identities.
-//
 // The -cpuprofile and -memprofile flags write standard pprof
 // profiles of the whole run, exactly as `go test` would.
 //
@@ -29,8 +20,10 @@
 //	                   all four algorithms and merge ns/op, allocs/op,
 //	                   B/op and events/sec into FILE (skips figures)
 //	-benchphase NAME   phase label recorded in FILE; pairs measured in
-//	                   one artifact get a computed summary ("heap" vs
-//	                   "ladder", or "baseline" vs "optimized")
+//	                   one artifact get a computed summary ("ladder" vs
+//	                   "torus", or "baseline" vs "optimized"); "heap"
+//	                   is refused — it names phases of the retired
+//	                   binary-heap calendar in committed artifacts
 //	-benchtime D       per-algorithm duration, as for go test (1s, 5x)
 //	-benchtopo T       workload topology: mesh (default) or torus (the
 //	                   wraparound twin with two dateline VCs, recorded
@@ -51,10 +44,10 @@
 //	                   committed artifacts on any machine
 //
 // The committed trajectory: BENCH_pr2.json (baseline vs optimized,
-// both on the heap) and BENCH_pr4.json (heap vs ladder), produced by
+// both on the since-retired heap calendar) and BENCH_pr4.json (heap vs
+// ladder). New phases are recorded and guarded with
 //
-//	paperbench -benchjson BENCH_pr4.json -benchphase heap   -calendar heap
-//	paperbench -benchjson BENCH_pr4.json -benchphase ladder -calendar ladder
+//	paperbench -benchjson BENCH_new.json -benchphase ladder
 //	paperbench -benchguard BENCH_pr4.json -benchbaseline BENCH_pr2.json
 //
 // BENCH_pr9.json re-measures the serial "ladder" phase and is guarded
@@ -81,7 +74,6 @@ import (
 	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/export"
 	"repro/internal/prof"
 	"repro/internal/scenario"
@@ -101,11 +93,8 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 
-		calName   = flag.String("calendar", "ladder", "event calendar backing the simulation kernel: ladder or heap (byte-identical output, different speed)")
-		wavefront = flag.Bool("wavefront", true, "execute same-instant event batches as wavefronts (byte-identical output; false pops one event at a time)")
-
 		benchJSON     = flag.String("benchjson", "", "run the saturation-load benchmark and merge results into this JSON artifact (skips the figures)")
-		benchPhase    = flag.String("benchphase", "optimized", "phase label for -benchjson results (heap, ladder, baseline, optimized, torus, ci, ...; dense or lazy with -benchworkload scale)")
+		benchPhase    = flag.String("benchphase", "optimized", "phase label for -benchjson results (ladder, baseline, optimized, torus, ci, ...; dense or lazy with -benchworkload scale)")
 		benchWork     = flag.String("benchworkload", "saturation", "workload for -benchjson: saturation (the Fig. 2 trajectory) or scale (64-destination multicast on the 2^20-node mesh; phases dense/lazy measure the substrate memory models)")
 		benchTopo     = flag.String("benchtopo", "mesh", "topology for -benchjson: mesh (the trajectory workload) or torus (wraparound twin, two dateline VCs, phase \"torus\")")
 		benchTime     = flag.String("benchtime", "", "benchmark duration per algorithm for -benchjson, as for go test (e.g. 1s, 5x); empty = testing default")
@@ -122,14 +111,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProf()
-
-	cal, err := wormsim.ParseCalendar(*calName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-		os.Exit(1)
-	}
-	wormsim.SetDefaultCalendar(cal)
-	wormsim.SetDefaultWavefront(*wavefront)
 
 	if *benchGuard != "" {
 		if err := runBenchGuard(*benchGuard, *benchBaseline, *benchTol, *benchGdMode); err != nil {

@@ -5,7 +5,6 @@
 //	sweep -what fig1 > fig1.csv
 //	sweep -what ablation-length -mesh 8x8x8 -o length.csv
 //	sweep -what fig2-torus -seed 7
-//	sweep -what fig2 -calendar heap           # legacy-calendar cross-check
 //	sweep -what fig2-faults                   # coverage vs failed links
 //	sweep -what fig2 -faults 8                # Fig. 2 with 8 dead links
 //
@@ -18,16 +17,6 @@
 // arrays or the paged lazy store); empty keeps the scenario's default,
 // which is dense below 2^16 nodes and lazy at or above. Output is
 // byte-identical either way.
-//
-// The -calendar flag selects the simulation kernel's event calendar
-// (ladder, the default, or the legacy binary heap). Output is
-// byte-identical either way — the knob exists for cross-checking and
-// for measuring kernel speed, see cmd/paperbench's bench flags.
-//
-// The -wavefront flag (default on) selects batched execution of
-// same-instant events in the kernel; -wavefront=false pops one event
-// at a time. Output is byte-identical either way — the knob exists
-// for the differential CI gate and for measuring the batching win.
 //
 // The -cpuprofile and -memprofile flags write standard pprof
 // profiles of the whole run, exactly as `go test` would:
@@ -55,7 +44,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro"
 	"repro/internal/export"
 	"repro/internal/prof"
 	"repro/internal/scenario"
@@ -63,18 +51,16 @@ import (
 
 func main() {
 	var (
-		what      = flag.String("what", "fig1", "which scenario to run, or 'list' for all names")
-		meshSpec  = flag.String("mesh", "", "topology override, e.g. 8x8x8 (collapses size sweeps to one shape)")
-		reps      = flag.Int("reps", 0, "replication override (0 = scenario default)")
-		seed      = flag.Uint64("seed", 2005, "random seed")
-		out       = flag.String("o", "", "output file (default stdout)")
-		procs     = flag.Int("procs", 0, "max parallel replications (0 = all cores); output is identical for any value")
-		faults    = flag.Int("faults", 0, "fail this many random undirected links in every cell of a contended scenario (0 = scenario default)")
-		store     = flag.String("store", "", "substrate memory model: auto, dense, or lazy (empty = scenario default)")
-		calName   = flag.String("calendar", "ladder", "event calendar backing the simulation kernel: ladder or heap (byte-identical output, different speed)")
-		wavefront = flag.Bool("wavefront", true, "execute same-instant event batches as wavefronts (byte-identical output; false pops one event at a time)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+		what     = flag.String("what", "fig1", "which scenario to run, or 'list' for all names")
+		meshSpec = flag.String("mesh", "", "topology override, e.g. 8x8x8 (collapses size sweeps to one shape)")
+		reps     = flag.Int("reps", 0, "replication override (0 = scenario default)")
+		seed     = flag.Uint64("seed", 2005, "random seed")
+		out      = flag.String("o", "", "output file (default stdout)")
+		procs    = flag.Int("procs", 0, "max parallel replications (0 = all cores); output is identical for any value")
+		faults   = flag.Int("faults", 0, "fail this many random undirected links in every cell of a contended scenario (0 = scenario default)")
+		store    = flag.String("store", "", "substrate memory model: auto, dense, or lazy (empty = scenario default)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
 
@@ -83,13 +69,6 @@ func main() {
 		fatal(err)
 	}
 	defer stopProf()
-
-	cal, err := wormsim.ParseCalendar(*calName)
-	if err != nil {
-		fatal(err)
-	}
-	wormsim.SetDefaultCalendar(cal)
-	wormsim.SetDefaultWavefront(*wavefront)
 
 	name := strings.ToLower(*what)
 	if name == "list" {

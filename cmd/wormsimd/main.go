@@ -39,7 +39,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro"
 	"repro/internal/service"
 )
 
@@ -59,7 +58,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  wormsimd serve   [-addr :8080] [-procs N] [-queue N] [-cache MiB] [-calendar ladder|heap]
+  wormsimd serve   [-addr :8080] [-procs N] [-queue N] [-cache MiB]
   wormsimd loadgen [-addr URL] [-scenario NAME] [-mesh AxBxC] [-reps N] [-seed S]
                    [-format csv|json|text] [-concurrency N] [-requests N] [-misses N] [-o FILE]`)
 	os.Exit(2)
@@ -73,19 +72,12 @@ func fatal(err error) {
 func serve(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	var (
-		addr    = fs.String("addr", ":8080", "listen address")
-		procs   = fs.Int("procs", 0, "simulation workers (0 = all cores)")
-		queue   = fs.Int("queue", 64, "admission queue bound: misses beyond running+queued are shed with 429")
-		cache   = fs.Int("cache", 64, "result cache budget in MiB of rendered bodies (LRU; oversized bodies bypass)")
-		calName = fs.String("calendar", "ladder", "event calendar backing the kernel: ladder or heap (part of the cache key)")
+		addr  = fs.String("addr", ":8080", "listen address")
+		procs = fs.Int("procs", 0, "simulation workers (0 = all cores)")
+		queue = fs.Int("queue", 64, "admission queue bound: misses beyond running+queued are shed with 429")
+		cache = fs.Int("cache", 64, "result cache budget in MiB of rendered bodies (LRU; oversized bodies bypass)")
 	)
 	fs.Parse(args)
-
-	cal, err := wormsim.ParseCalendar(*calName)
-	if err != nil {
-		fatal(err)
-	}
-	wormsim.SetDefaultCalendar(cal)
 
 	s := service.New(service.Config{Procs: *procs, QueueCap: *queue, CacheBytes: int64(*cache) << 20})
 	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
@@ -104,7 +96,7 @@ func serve(args []string) {
 		}
 	}()
 
-	log.Printf("wormsimd: serving on %s (queue=%d cache=%d calendar=%s)", *addr, *queue, *cache, cal)
+	log.Printf("wormsimd: serving on %s (queue=%d cache=%d)", *addr, *queue, *cache)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}

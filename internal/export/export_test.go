@@ -5,18 +5,18 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 )
 
-func sampleFigure() *experiments.Figure {
-	return &experiments.Figure{
+func sampleFigure() *scenario.Figure {
+	return &scenario.Figure{
 		ID:     "Fig.T",
 		XLabel: "nodes",
 		YLabel: "latency",
-		Series: []experiments.Series{
-			{Label: "RD", Points: []experiments.Point{{X: 64, Y: 10.5}, {X: 512, Y: 16.25}}},
-			{Label: "DB", Points: []experiments.Point{{X: 64, Y: 7.25}}},
+		Series: []scenario.Series{
+			{Label: "RD", Points: []scenario.Point{{X: 64, Y: 10.5}, {X: 512, Y: 16.25}}},
+			{Label: "DB", Points: []scenario.Point{{X: 64, Y: 7.25}}},
 		},
 	}
 }
@@ -45,10 +45,10 @@ func TestFigureCSV(t *testing.T) {
 }
 
 func TestTableCSV(t *testing.T) {
-	tbl := &experiments.CVTable{
+	tbl := &scenario.CVTable{
 		ID:       "Table T",
 		Proposed: "DB",
-		Columns: []experiments.CVColumn{
+		Columns: []scenario.CVColumn{
 			{
 				Mesh: "mesh 4x4x4", Nodes: 64, ProposedCV: 0.15,
 				Rows: []metrics.ImprovementRow{

@@ -3,8 +3,7 @@
 // validated up front and applied through the simulation calendar —
 // faults are ordinary (due, seq)-ordered events interleaving with
 // worm traffic, so a faulted run is exactly as reproducible as a
-// pristine one: bit-identical output for any worker count and for
-// either calendar implementation.
+// pristine one: bit-identical output for any worker count.
 //
 // The generators (RandomLinks, RandomNodes, Churn) derive everything
 // from an explicit seed, and the link generators share one canonical

@@ -253,46 +253,3 @@ func TestEmptyPlanMatchesContendedStudy(t *testing.T) {
 		}
 	}
 }
-
-// TestHeapLadderIdenticalUnderFaults extends the calendar cross-check
-// to the fault paths: a churning, node-degraded adaptive run must
-// produce bit-identical statistics on the ladder queue and the legacy
-// binary heap. Fault events, park timeouts and drops all ride the
-// calendar, so any (due, seq) ordering divergence shows up here.
-func TestHeapLadderIdenticalUnderFaults(t *testing.T) {
-	defer sim.SetDefaultCalendar(sim.Ladder)
-	m := topology.NewMesh(4, 4, 4)
-	study := func(cal sim.Calendar) *metrics.DegradationStats {
-		sim.SetDefaultCalendar(cal)
-		churn, err := fault.Churn(m, 5, 3, 5, 8, 20, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes, err := fault.RandomNodes(m, 6, 2, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := network.DefaultConfig()
-		cfg.DeadWait = 6
-		st, err := metrics.DegradedStudy(m, broadcast.NewAB(), metrics.DegradedConfig{
-			Net: cfg, Length: 32, Broadcasts: 12, Interarrival: 3, Seed: 11,
-			Faults: fault.Merge(churn, nodes),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	ladder := study(sim.Ladder)
-	heap := study(sim.Heap)
-	if ladder.Coverage.Mean() != heap.Coverage.Mean() ||
-		ladder.Latency.Mean() != heap.Latency.Mean() ||
-		ladder.CV.Mean() != heap.CV.Mean() ||
-		ladder.Dropped != heap.Dropped ||
-		ladder.Events != heap.Events ||
-		ladder.SimulatedTime != heap.SimulatedTime {
-		t.Errorf("ladder and heap disagree under faults:\nladder: cov=%v lat=%v drop=%d events=%d T=%v\nheap:   cov=%v lat=%v drop=%d events=%d T=%v",
-			ladder.Coverage.Mean(), ladder.Latency.Mean(), ladder.Dropped, ladder.Events, ladder.SimulatedTime,
-			heap.Coverage.Mean(), heap.Latency.Mean(), heap.Dropped, heap.Events, heap.SimulatedTime)
-	}
-}

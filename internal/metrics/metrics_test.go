@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/broadcast"
 	"repro/internal/network"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
@@ -132,47 +131,5 @@ func TestImprovements(t *testing.T) {
 	// Consistency with the stats helper.
 	if got := stats.Improvement(0.15, 0.30); math.Abs(got-rows[0].Improvement) > 1e-12 {
 		t.Error("Improvements disagrees with stats.Improvement")
-	}
-}
-
-// TestContendedStudyIdenticalAcrossCalendars runs the full contended
-// CV study — the workload behind Fig. 2, the tables and the perf
-// trajectory — under the heap and ladder calendars and requires every
-// scientific output to match to the last bit. This is the end-to-end
-// complement of the kernel-level differential tests in internal/sim.
-func TestContendedStudyIdenticalAcrossCalendars(t *testing.T) {
-	defer sim.SetDefaultCalendar(sim.Ladder)
-	m := topology.NewMesh(4, 4, 4)
-	cfg := ContendedConfig{
-		Net:          network.DefaultConfig(),
-		Length:       64,
-		Broadcasts:   12,
-		Interarrival: 2,
-		Seed:         2005,
-	}
-	type result struct {
-		events                       uint64
-		simTime, lat, cv             float64
-		latVar, cvVar, latMax, cvMin float64
-	}
-	run := func(c sim.Calendar, algo broadcast.Algorithm) result {
-		sim.SetDefaultCalendar(c)
-		st, err := ContendedCVStudy(m, algo, cfg)
-		if err != nil {
-			t.Fatalf("%v/%s: %v", c, algo.Name(), err)
-		}
-		return result{
-			events: st.Events, simTime: st.SimulatedTime,
-			lat: st.Latency.Mean(), cv: st.CV.Mean(),
-			latVar: st.Latency.Variance(), cvVar: st.CV.Variance(),
-			latMax: st.Latency.Max(), cvMin: st.CV.Min(),
-		}
-	}
-	for _, algo := range []broadcast.Algorithm{broadcast.NewRD(), broadcast.NewEDN(), broadcast.NewDB()} {
-		h := run(sim.Heap, algo)
-		l := run(sim.Ladder, algo)
-		if h != l {
-			t.Errorf("%s: heap %+v != ladder %+v", algo.Name(), h, l)
-		}
 	}
 }

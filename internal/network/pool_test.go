@@ -73,16 +73,16 @@ func TestWaitQueuesBoundedUnderSustainedContention(t *testing.T) {
 // TestUnicastHotPathAllocationBudget pins the hot-path overhaul: once
 // the worm pool and calendar are warm, injecting and fully draining a
 // unicast worm performs no heap allocation at all — no closures, no
-// per-worm slices, no queue growth. The pin holds for both calendar
-// implementations: the ladder may allocate only while its arena and
+// per-worm slices, no queue growth. The pin holds for both drains, Run
+// and a Step loop: the calendar may allocate only while its arena and
 // rungs grow to the workload's high water, which the warm-up covers.
 func TestUnicastHotPathAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a random quarter of its Puts under -race, so warm worms are rebuilt")
 	}
-	for _, c := range []sim.Calendar{sim.Ladder, sim.Heap} {
-		t.Run(c.String(), func(t *testing.T) {
-			s := sim.NewWithCalendar(c)
+	for _, step := range []bool{false, true} {
+		t.Run(drainName(step), func(t *testing.T) {
+			s := sim.New()
 			m := topology.NewMesh(8, 8)
 			n := MustNew(s, m, DefaultConfig())
 			tr := &Transfer{
@@ -92,11 +92,11 @@ func TestUnicastHotPathAllocationBudget(t *testing.T) {
 			}
 			for i := 0; i < 32; i++ { // warm pool, calendar and rings
 				n.MustSend(s.Now(), tr)
-				s.Run()
+				drain(s, step)
 			}
 			avg := testing.AllocsPerRun(200, func() {
 				n.MustSend(s.Now(), tr)
-				s.Run()
+				drain(s, step)
 			})
 			if avg > 0 {
 				t.Errorf("warm unicast send+drain allocates %v per op, want 0", avg)

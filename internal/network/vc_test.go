@@ -18,9 +18,9 @@ func TestTorusUnicastHotPathAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a random quarter of its Puts under -race, so warm worms are rebuilt")
 	}
-	for _, c := range []sim.Calendar{sim.Ladder, sim.Heap} {
-		t.Run(c.String(), func(t *testing.T) {
-			s := sim.NewWithCalendar(c)
+	for _, step := range []bool{false, true} {
+		t.Run(drainName(step), func(t *testing.T) {
+			s := sim.New()
 			m := topology.NewTorus(8, 8)
 			cfg := DefaultConfig()
 			cfg.VCs = 2
@@ -34,11 +34,11 @@ func TestTorusUnicastHotPathAllocationBudget(t *testing.T) {
 			}
 			for i := 0; i < 32; i++ { // warm pool, calendar and rings
 				n.MustSend(s.Now(), tr)
-				s.Run()
+				drain(s, step)
 			}
 			avg := testing.AllocsPerRun(200, func() {
 				n.MustSend(s.Now(), tr)
-				s.Run()
+				drain(s, step)
 			})
 			if avg > 0 {
 				t.Errorf("warm torus unicast send+drain allocates %v per op, want 0", avg)

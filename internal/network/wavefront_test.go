@@ -16,16 +16,33 @@ import (
 // tests pin that commutativity directly: inject a same-instant burst
 // of worms on disjoint paths in every permuted order and require the
 // committed state (per-destination delivery times, completion time,
-// event count) to be identical, with wavefronts on and off.
+// event count) to be identical, drained by Run's batches or by a
+// plain Step loop.
+
+// drain empties s's calendar with Run's batched loop or, when step is
+// set, one record at a time through Step.
+func drain(s *sim.Simulator, step bool) {
+	if !step {
+		s.Run()
+		return
+	}
+	for s.Step() {
+	}
+}
+
+// drainName labels a drain mode in subtest names.
+func drainName(step bool) string {
+	if step {
+		return "step"
+	}
+	return "run"
+}
 
 // sameInstantBurst injects one row-confined worm per row of a 6×6
 // mesh, all at t=0, in the given injection order, and returns the
 // committed state after the calendar drains.
-func sameInstantBurst(t *testing.T, order []int, wavefront bool) (map[topology.NodeID]sim.Time, sim.Time, uint64) {
+func sameInstantBurst(t *testing.T, order []int, step bool) (map[topology.NodeID]sim.Time, sim.Time, uint64) {
 	t.Helper()
-	defer sim.SetDefaultWavefront(sim.DefaultWavefront())
-	sim.SetDefaultWavefront(wavefront)
-
 	s := sim.New()
 	m := topology.NewMesh(6, 6)
 	n, err := New(s, m, DefaultConfig())
@@ -47,9 +64,9 @@ func sameInstantBurst(t *testing.T, order []int, wavefront bool) (map[topology.N
 			},
 		})
 	}
-	s.Run()
+	drain(s, step)
 	if got := n.InFlight(); got != 0 {
-		t.Fatalf("order %v wavefront=%v: %d worms still in flight", order, wavefront, got)
+		t.Fatalf("order %v step=%v: %d worms still in flight", order, step, got)
 	}
 	return delivered, s.Now(), s.Fired()
 }
@@ -57,7 +74,7 @@ func sameInstantBurst(t *testing.T, order []int, wavefront bool) (map[topology.N
 // TestInInstantCommutativity permutes the injection order of a
 // same-instant burst on disjoint paths — the intra-batch hop order —
 // and requires identical committed state for every permutation, under
-// both execution modes.
+// both drains.
 func TestInInstantCommutativity(t *testing.T) {
 	const rows = 6
 	perms := [][]int{
@@ -69,21 +86,21 @@ func TestInInstantCommutativity(t *testing.T) {
 		perms = append(perms, rng.Perm(rows))
 	}
 
-	baseDel, baseNow, baseFired := sameInstantBurst(t, perms[0], true)
+	baseDel, baseNow, baseFired := sameInstantBurst(t, perms[0], false)
 	if len(baseDel) != rows {
 		t.Fatalf("baseline delivered %d of %d worms", len(baseDel), rows)
 	}
-	for _, wavefront := range []bool{true, false} {
+	for _, step := range []bool{false, true} {
 		for _, p := range perms {
-			del, now, fired := sameInstantBurst(t, p, wavefront)
+			del, now, fired := sameInstantBurst(t, p, step)
 			if !reflect.DeepEqual(del, baseDel) {
-				t.Errorf("order %v wavefront=%v: deliveries diverge\ngot:  %v\nwant: %v", p, wavefront, del, baseDel)
+				t.Errorf("order %v step=%v: deliveries diverge\ngot:  %v\nwant: %v", p, step, del, baseDel)
 			}
 			if now != baseNow {
-				t.Errorf("order %v wavefront=%v: completion time %v, want %v", p, wavefront, now, baseNow)
+				t.Errorf("order %v step=%v: completion time %v, want %v", p, step, now, baseNow)
 			}
 			if fired != baseFired {
-				t.Errorf("order %v wavefront=%v: fired %d events, want %d", p, wavefront, fired, baseFired)
+				t.Errorf("order %v step=%v: fired %d events, want %d", p, step, fired, baseFired)
 			}
 		}
 	}
@@ -92,14 +109,10 @@ func TestInInstantCommutativity(t *testing.T) {
 // TestSameInstantContentionIdenticalAcrossModes covers the other half
 // of the in-instant contract: when same-instant worms DO contend (all
 // six target one hotspot column), intra-batch order is no longer
-// arbitrary — it is pinned by injection sequence — and batched
-// execution must resolve the contention exactly as one-at-a-time
-// execution does.
+// arbitrary — it is pinned by injection sequence — and Run's batches
+// must resolve the contention exactly as a Step loop does.
 func TestSameInstantContentionIdenticalAcrossModes(t *testing.T) {
-	run := func(wavefront bool) (map[topology.NodeID]sim.Time, sim.Time, uint64) {
-		defer sim.SetDefaultWavefront(sim.DefaultWavefront())
-		sim.SetDefaultWavefront(wavefront)
-
+	run := func(step bool) (map[topology.NodeID]sim.Time, sim.Time, uint64) {
 		s := sim.New()
 		m := topology.NewMesh(6, 6)
 		n, err := New(s, m, DefaultConfig())
@@ -121,23 +134,23 @@ func TestSameInstantContentionIdenticalAcrossModes(t *testing.T) {
 				},
 			})
 		}
-		s.Run()
+		drain(s, step)
 		if got := n.InFlight(); got != 0 {
-			t.Fatalf("wavefront=%v: %d worms still in flight", wavefront, got)
+			t.Fatalf("step=%v: %d worms still in flight", step, got)
 		}
 		return delivered, s.Now(), s.Fired()
 	}
 
-	onDel, onNow, onFired := run(true)
-	offDel, offNow, offFired := run(false)
-	if len(onDel) != 6 {
-		t.Fatalf("delivered %d of 6 contending worms", len(onDel))
+	runDel, runNow, runFired := run(false)
+	stepDel, stepNow, stepFired := run(true)
+	if len(runDel) != 6 {
+		t.Fatalf("delivered %d of 6 contending worms", len(runDel))
 	}
-	if !reflect.DeepEqual(onDel, offDel) {
-		t.Errorf("contended deliveries diverge across modes\non:  %v\noff: %v", onDel, offDel)
+	if !reflect.DeepEqual(runDel, stepDel) {
+		t.Errorf("contended deliveries diverge across drains\nRun:  %v\nStep: %v", runDel, stepDel)
 	}
-	if onNow != offNow || onFired != offFired {
-		t.Errorf("contended run shape diverges: on (now=%v fired=%d) vs off (now=%v fired=%d)",
-			onNow, onFired, offNow, offFired)
+	if runNow != stepNow || runFired != stepFired {
+		t.Errorf("contended run shape diverges: Run (now=%v fired=%d) vs Step (now=%v fired=%d)",
+			runNow, runFired, stepNow, stepFired)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -62,13 +63,22 @@ func TestMapPropagatesError(t *testing.T) {
 	}
 }
 
+// TestMapStopsIssuingAfterError fails job 0 and holds every other job
+// until the pool reports job 0 finished. The pool marks the run failed
+// before it calls the completion hook, so the gate opens only once no
+// new index may be issued: however the workers are scheduled, each
+// runs at most the one job it had already claimed.
 func TestMapStopsIssuingAfterError(t *testing.T) {
 	var ran atomic.Int64
-	_, err := Map(New(2), 10_000, func(i int) (int, error) {
+	gate := make(chan struct{})
+	var open sync.Once
+	p := New(2).NotifyEach(func() { open.Do(func() { close(gate) }) })
+	_, err := Map(p, 10_000, func(i int) (int, error) {
 		ran.Add(1)
 		if i == 0 {
 			return 0, errors.New("early failure")
 		}
+		<-gate
 		return i, nil
 	})
 	if err == nil {

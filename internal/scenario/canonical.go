@@ -19,7 +19,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 
 	"repro/internal/sim"
 )
@@ -29,7 +28,7 @@ import (
 // encoding, to a workload default, or to simulation semantics that
 // alters output bytes — invalidates all previously cached results at
 // once.
-const CanonicalVersion = "wormsim-spec/v1"
+const CanonicalVersion = "wormsim-spec/v2"
 
 // canonicalSpec is the deterministic wire form of a resolved spec:
 // fixed field order, orchestration knobs (Procs, Progress) omitted,
@@ -145,23 +144,14 @@ func (s Spec) Canonical() ([]byte, error) {
 }
 
 // Key returns the spec's cache key: the hex SHA-256 of the canonical
-// encoding and the process-default event calendar. Determinism makes
-// the key a complete identity for the result bytes — equal keys imply
-// byte-identical output for any worker count.
-//
-// The calendar is folded in even though both calendars execute every
-// schedule identically (pinned by the PR 4 differential suite): a
-// cache key must not encode a cross-implementation equivalence claim,
-// only the configuration that produced the bytes. Callers that switch
-// calendars mid-process (none of the CLIs do) get distinct keys, not
-// stale entries.
+// encoding. Determinism makes the key a complete identity for the
+// result bytes — equal keys imply byte-identical output for any worker
+// count.
 func (s Spec) Key() (string, error) {
 	canon, err := s.Canonical()
 	if err != nil {
 		return "", err
 	}
-	h := sha256.New()
-	h.Write(canon)
-	fmt.Fprintf(h, "|calendar=%s", sim.DefaultCalendar())
-	return hex.EncodeToString(h.Sum(nil)), nil
+	sum := sha256.Sum256(canon)
+	return hex.EncodeToString(sum[:]), nil
 }

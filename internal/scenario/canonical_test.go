@@ -3,8 +3,6 @@ package scenario
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // The cache key must be a pure function of what a run produces:
@@ -93,19 +91,6 @@ func TestKeySeparatesSemanticChanges(t *testing.T) {
 			t.Errorf("mutation %q collided with %q on key %s", label, prev, k)
 		}
 		seen[k] = label
-	}
-}
-
-func TestKeyFoldsInCalendar(t *testing.T) {
-	orig := sim.DefaultCalendar()
-	defer sim.SetDefaultCalendar(orig)
-	s := Spec{Name: "fig1", Workload: Uncontended}
-	sim.SetDefaultCalendar(sim.Ladder)
-	ladder := mustKey(t, s)
-	sim.SetDefaultCalendar(sim.Heap)
-	heap := mustKey(t, s)
-	if ladder == heap {
-		t.Errorf("ladder and heap calendars share key %s", ladder)
 	}
 }
 

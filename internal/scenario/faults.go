@@ -16,8 +16,8 @@ import (
 // FaultSpec declares a scenario's fault injection declaratively; the
 // run loop expands it into a concrete fault.Plan per cell. All
 // randomness derives from (Spec.Seed, FaultSpec.Seed) only — never
-// from the series — so every algorithm, substrate and calendar sees
-// the identical fault plan and the comparison is paired.
+// from the series — so every algorithm and substrate sees the
+// identical fault plan and the comparison is paired.
 //
 // On the faults axis the failed-link count comes from the sweep value
 // x and Links is ignored; on every other axis Links is the fixed

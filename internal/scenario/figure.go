@@ -9,10 +9,8 @@
 // The package deliberately separates the specification from the
 // executor, in the spirit of interpreted discrete-event control
 // models: adding a scenario means registering a spec, never writing a
-// driver. The legacy drivers in internal/experiments are now thin
-// deprecated wrappers over this package, and their output is
-// byte-identical to the pre-redesign code (pinned by golden tests in
-// testdata/).
+// driver. Output is byte-identical to the per-figure drivers the
+// registry replaced (pinned by golden tests in testdata/).
 //
 // Results stream into pluggable [Sink]s: [NewTextSink] renders the
 // paper's aligned tables, [NewJSONSink] emits machine-readable JSON,

@@ -3,8 +3,8 @@ package scenario_test
 // Golden tests pinning the redesign's core promise: every legacy
 // scenario's text and CSV output is byte-identical to the
 // pre-redesign drivers. The files under testdata/ were generated by
-// the ORIGINAL per-figure driver code (internal/experiments before
-// the scenario registry existed) at the configs below; these tests
+// the ORIGINAL per-figure driver code (before the scenario registry
+// existed) at the configs below; these tests
 // render the same artifacts through the registry and compare bytes.
 // Regenerating the goldens from current code would defeat the pin —
 // treat a mismatch as a behaviour change, not a stale fixture.

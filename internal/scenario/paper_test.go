@@ -1,25 +1,42 @@
-package experiments
+package scenario_test
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
-// quick replication counts keep the shape tests fast; the full-size
-// runs live in cmd/paperbench and the root benchmarks.
+// Shape tests: the paper's qualitative claims, asserted on reduced
+// runs of the registered scenarios. The full-size runs live in
+// cmd/paperbench and the root benchmarks; the goldens pin the exact
+// bytes.
+
+// quickReps keeps the shape tests fast.
 const quickReps = 6
+
+// runFigure builds a registered scenario with opts and runs it.
+func runFigure(t *testing.T, name string, opts ...scenario.Option) *scenario.Result {
+	t.Helper()
+	spec, err := scenario.Build(name, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := scenario.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return res
+}
 
 // TestFig1Shape asserts the paper's Fig. 1 qualitative claims: DB and
 // AB beat RD and EDN at every size, RD and EDN degrade as the network
 // grows while DB and AB stay nearly flat, and EDN ≈ DB at 4×4×4.
 func TestFig1Shape(t *testing.T) {
-	fig, err := Fig1(Fig1Config{Reps: quickReps, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := runFigure(t, "fig1", scenario.WithReps(quickReps), scenario.WithSeed(11)).Figure
 	series := seriesMap(fig)
-	sizes := []float64{64, 512, 1000, 4096}
-	for _, n := range sizes {
+	for _, n := range []float64{64, 512, 1000, 4096} {
 		rd, edn, db, ab := at(t, series, "RD", n), at(t, series, "EDN", n), at(t, series, "DB", n), at(t, series, "AB", n)
 		if db >= rd || ab >= rd {
 			t.Errorf("N=%g: proposed (DB %.2f, AB %.2f) not below RD %.2f", n, db, ab, rd)
@@ -46,15 +63,9 @@ func TestFig1Shape(t *testing.T) {
 // TestFig1StartupLatencyCompresses asserts §3.1: a 10× smaller Ts
 // shrinks every algorithm's latency.
 func TestFig1StartupLatencyCompresses(t *testing.T) {
-	cfg := Fig1Config{Sizes: [][]int{{8, 8, 8}}, Reps: quickReps, Seed: 11}
-	big, err := Fig1(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, err := Fig1StartupLatency(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := []scenario.Option{scenario.WithSizes([]int{8, 8, 8}), scenario.WithReps(quickReps), scenario.WithSeed(11)}
+	big := runFigure(t, "fig1", opts...).Figure
+	small := runFigure(t, "fig1b", opts...).Figure
 	bigS, smallS := seriesMap(big), seriesMap(small)
 	for _, algo := range []string{"RD", "EDN", "DB", "AB"} {
 		hi, lo := at(t, bigS, algo, 512), at(t, smallS, algo, 512)
@@ -71,19 +82,11 @@ func TestFig1StartupLatencyCompresses(t *testing.T) {
 // algorithms have lower arrival-time CV than RD and EDN at every
 // size.
 func TestFig2Shape(t *testing.T) {
-	fig, err := Fig2(Fig2Config{Reps: 12, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := seriesMap(fig)
+	series := seriesMap(runFigure(t, "fig2", scenario.WithReps(12), scenario.WithSeed(13)).Figure)
 	for _, n := range []float64{64, 256, 512, 1024} {
 		rd, edn := at(t, series, "RD", n), at(t, series, "EDN", n)
 		db, ab := at(t, series, "DB", n), at(t, series, "AB", n)
-		worstProposed := db
-		if ab > worstProposed {
-			worstProposed = ab
-		}
-		if worstProposed >= rd && worstProposed >= edn {
+		if worstProposed := max(db, ab); worstProposed >= rd && worstProposed >= edn {
 			t.Errorf("N=%g: proposed CVs (DB %.3f, AB %.3f) not below both baselines (RD %.3f, EDN %.3f)",
 				n, db, ab, rd, edn)
 		}
@@ -100,11 +103,8 @@ func TestTablesImprovementsPositiveAndGrow(t *testing.T) {
 	seeds := []uint64{13, 99, 2005}
 	var firstDB, lastDB float64
 	for _, seed := range seeds {
-		t1, t2, err := Tables(Fig2Config{Reps: 40, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tbl := range []*CVTable{t1, t2} {
+		res := runFigure(t, "fig2", scenario.WithReps(40), scenario.WithSeed(seed))
+		for _, tbl := range []*scenario.CVTable{res.Table1, res.Table2} {
 			if len(tbl.Columns) != 4 {
 				t.Fatalf("%s has %d columns", tbl.ID, len(tbl.Columns))
 			}
@@ -117,8 +117,8 @@ func TestTablesImprovementsPositiveAndGrow(t *testing.T) {
 				}
 			}
 		}
-		firstDB += t1.Columns[0].Rows[0].Improvement
-		lastDB += t1.Columns[3].Rows[0].Improvement
+		firstDB += res.Table1.Columns[0].Rows[0].Improvement
+		lastDB += res.Table1.Columns[3].Rows[0].Improvement
 	}
 	// Growth with size is asserted for DB only: the paper's own text
 	// (§3.2) notes AB's longer third-step paths raise its CV in
@@ -134,17 +134,9 @@ func TestTablesImprovementsPositiveAndGrow(t *testing.T) {
 // TestFig34Shape asserts §3.3 on a reduced sweep: latency rises with
 // load, RD is worst at high load, and AB stays lowest.
 func TestFig34Shape(t *testing.T) {
-	fig, err := Fig34(Fig34Config{
-		Dims:      []int{8, 8, 8},
-		Loads:     []float64{0.005, 0.05},
-		BatchSize: 40, Batches: 5, Warmup: 1,
-		Seed: 17,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := seriesMap(fig)
 	lo, hi := 0.005, 0.05
+	fig := runFigure(t, "fig3", scenario.WithLoads(lo, hi), scenario.WithBatches(5, 40, 1), scenario.WithSeed(17)).Figure
+	series := seriesMap(fig)
 	for _, algo := range []string{"RD", "EDN", "DB", "AB"} {
 		if at(t, series, algo, hi) <= at(t, series, algo, lo)*0.8 {
 			t.Errorf("%s: latency fell with load (%.2f -> %.2f)",
@@ -168,13 +160,13 @@ func TestFig34Shape(t *testing.T) {
 
 // TestFigureFormat checks the text rendering used by cmd/paperbench.
 func TestFigureFormat(t *testing.T) {
-	fig := &Figure{
+	fig := &scenario.Figure{
 		ID:     "Fig.X",
 		Title:  "test",
 		XLabel: "nodes",
-		Series: []Series{
-			{Label: "RD", Points: []Point{{X: 64, Y: 1.5}, {X: 512, Y: 2.5}}},
-			{Label: "DB", Points: []Point{{X: 64, Y: 1.0}}},
+		Series: []scenario.Series{
+			{Label: "RD", Points: []scenario.Point{{X: 64, Y: 1.5}, {X: 512, Y: 2.5}}},
+			{Label: "DB", Points: []scenario.Point{{X: 64, Y: 1.0}}},
 		},
 	}
 	out := fig.Format()
@@ -188,15 +180,102 @@ func TestFigureFormat(t *testing.T) {
 	}
 }
 
-func seriesMap(f *Figure) map[string]Series {
-	out := map[string]Series{}
+// runAblation runs a registered ablation on a 4×4×4 mesh with 64-flit
+// messages and three replications.
+func runAblation(t *testing.T, name string) *scenario.Figure {
+	t.Helper()
+	return runFigure(t, name, scenario.WithMesh(4, 4, 4), scenario.WithLength(64),
+		scenario.WithReps(3), scenario.WithSeed(5)).Figure
+}
+
+func TestAblationMessageLength(t *testing.T) {
+	// Latency must rise with message length for every algorithm
+	// (each step pays L·β).
+	for _, s := range runAblation(t, "ablation-length").Series {
+		first, last := s.Points[0], s.Points[len(s.Points)-1]
+		if last.Y <= first.Y {
+			t.Errorf("%s: latency did not grow with length (%.2f -> %.2f)", s.Label, first.Y, last.Y)
+		}
+	}
+}
+
+func TestAblationHopDelay(t *testing.T) {
+	for _, s := range runAblation(t, "ablation-hop").Series {
+		for i := 1; i < len(s.Points); i++ {
+			if s.Points[i].Y < s.Points[i-1].Y {
+				t.Errorf("%s: latency fell as hop delay rose (%v)", s.Label, s.Points)
+			}
+		}
+	}
+}
+
+func TestAblationAdaptiveSubstrate(t *testing.T) {
+	fig := runAblation(t, "ablation-substrate")
+	if len(fig.Series) != 3 {
+		t.Fatalf("substrates = %d, want 3", len(fig.Series))
+	}
+	// On an idle network all three substrates must complete with
+	// comparable latency (adaptivity only matters under contention).
+	for _, s := range fig.Series {
+		for _, p := range s.Points {
+			if p.Y <= 0 {
+				t.Errorf("%s: non-positive latency", s.Label)
+			}
+		}
+	}
+}
+
+func TestAblationPortModel(t *testing.T) {
+	series := seriesMap(runAblation(t, "ablation-ports"))
+	// EDN's doubling phase needs the three-port router: one port must
+	// be slower or equal, and strictly slower for EDN.
+	edn := series["EDN"]
+	if len(edn.Points) != 2 {
+		t.Fatalf("EDN points = %v", edn.Points)
+	}
+	onePort, threePort := edn.Points[0].Y, edn.Points[1].Y
+	if threePort >= onePort {
+		t.Errorf("EDN did not benefit from three ports (%.2f vs %.2f)", threePort, onePort)
+	}
+	// RD never uses more than one port per step, so extra ports must
+	// not change its latency.
+	rd := series["RD"]
+	if rd.Points[0].Y != rd.Points[1].Y {
+		t.Errorf("RD latency changed with ports (%v)", rd.Points)
+	}
+}
+
+// TestProgressReportsCompleteAndMonotone pins the live-progress
+// contract the CLIs rely on: done counts arrive serialised, never
+// regress, and end exactly at total.
+func TestProgressReportsCompleteAndMonotone(t *testing.T) {
+	last, calls := 0, 0
+	runFigure(t, "fig1", scenario.WithSizes([]int{4, 4, 4}), scenario.WithReps(5),
+		scenario.WithSeed(3), scenario.WithProcs(4),
+		scenario.WithProgress(func(done, total int) {
+			calls++
+			if total != 4*1*5 {
+				t.Errorf("total = %d, want 20", total)
+			}
+			if done <= last {
+				t.Errorf("done went %d -> %d", last, done)
+			}
+			last = done
+		}))
+	if calls != 20 || last != 20 {
+		t.Errorf("progress: %d calls ending at %d, want 20/20", calls, last)
+	}
+}
+
+func seriesMap(f *scenario.Figure) map[string]scenario.Series {
+	out := map[string]scenario.Series{}
 	for _, s := range f.Series {
 		out[s.Label] = s
 	}
 	return out
 }
 
-func at(t *testing.T, series map[string]Series, label string, x float64) float64 {
+func at(t *testing.T, series map[string]scenario.Series, label string, x float64) float64 {
 	t.Helper()
 	s, ok := series[label]
 	if !ok {

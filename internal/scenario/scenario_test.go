@@ -74,12 +74,15 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunDeterministicAcrossProcs pins the orchestration guarantee
-// for the scenarios that did NOT exist before the redesign (the
-// legacy ones are covered by the experiments determinism tests):
-// Run's output is byte-identical for any worker count.
+// TestRunDeterministicAcrossProcs pins the orchestration guarantee:
+// Run's output — the figure and, for contended runs over the paper's
+// algorithms, both tables — is byte-identical for any worker count.
+// Run under -race (CI does) it doubles as a data-race probe over the
+// fan-out path.
 func TestRunDeterministicAcrossProcs(t *testing.T) {
 	for _, name := range []string{
+		"fig1", "fig1b", "fig2", "fig3", "fig4",
+		"ablation-length", "ablation-hop", "ablation-substrate", "ablation-ports",
 		"fig1-ts", "fig2-torus", "fig2-torus-vc", "saturation", "saturation-torus",
 		"fig2-faults", "faults-adaptive", "faults-transient",
 	} {
@@ -95,7 +98,11 @@ func TestRunDeterministicAcrossProcs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res.Figure.Format()
+				out := res.Figure.Format()
+				if res.Table1 != nil {
+					out += res.Table1.Format() + res.Table2.Format()
+				}
+				return out
 			}
 			want := render(1)
 			for _, procs := range []int{4, 0} {

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
 
 	"repro/internal/scenario"
@@ -32,7 +31,8 @@ func FuzzRunRequest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	inline, err := json.Marshal(map[string]any{"spec": inlineSpec(spec), "seed": 7, "format": "csv"})
+	seed := uint64(7)
+	inline, err := json.Marshal(RunRequest{Spec: &spec, Seed: &seed, Format: "csv"})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -66,15 +66,43 @@ func FuzzRunRequest(f *testing.F) {
 	})
 }
 
-// inlineSpec encodes spec the way a client sends it inline: every
-// field except the Progress callback, which JSON cannot carry.
-func inlineSpec(spec scenario.Spec) map[string]any {
-	v := reflect.ValueOf(spec)
-	out := map[string]any{}
-	for i := 0; i < v.NumField(); i++ {
-		if f := v.Type().Field(i); f.Type.Kind() != reflect.Func {
-			out[f.Name] = v.Field(i).Interface()
-		}
+// TestSpecJSONRoundTrip pins that a Go client can build an inline
+// request with encoding/json: a Spec — with a Progress callback set,
+// which the encoding skips — and a RunRequest carrying one both
+// marshal, and decode back to a spec with the same cache key.
+func TestSpecJSONRoundTrip(t *testing.T) {
+	spec, err := scenario.Build("fig2-faults", scenario.WithMesh(4, 4, 4), scenario.WithReps(3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	spec.Progress = func(done, total int) {}
+	want, err := spec.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatalf("marshal Spec: %v", err)
+	}
+	var back scenario.Spec
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatalf("unmarshal Spec: %v", err)
+	}
+	if got, err := back.Key(); err != nil || got != want {
+		t.Errorf("Spec round trip keys to %q (err %v), want %q", got, err, want)
+	}
+
+	seed := uint64(7)
+	body, err := json.Marshal(RunRequest{Spec: &spec, Seed: &seed, Format: "csv"})
+	if err != nil {
+		t.Fatalf("marshal RunRequest: %v", err)
+	}
+	req, err := decodeRequest(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("strict decode of an encoded RunRequest: %v", err)
+	}
+	if got, err := req.Spec.Key(); err != nil || got != want {
+		t.Errorf("RunRequest round trip keys to %q (err %v), want %q", got, err, want)
+	}
 }

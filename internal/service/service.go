@@ -3,8 +3,7 @@
 // or an inline spec), canonicalizes them to a stable cache key
 // (scenario.Spec.Key), and answers from a bounded LRU of rendered
 // result bodies. Because output is byte-identical for any worker
-// count and any calendar at a fixed spec × seed, a cached body is
-// never stale — the cache turns repeat requests from minutes of
+// count at a fixed spec × seed, a cached body is never stale — the cache turns repeat requests from minutes of
 // simulation into microseconds of memcpy.
 //
 // Misses are deduplicated singleflight-style: concurrent identical

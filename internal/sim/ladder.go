@@ -6,8 +6,8 @@ import (
 )
 
 // ladderQueue is a ladder queue (multi-tier calendar queue): the
-// default event calendar since PR 4, replacing the binary heap's
-// O(log n) sift with amortized-O(1) scheduling.
+// simulator's event calendar, a priority queue over (due, seq) with
+// amortized-O(1) scheduling where a binary heap pays an O(log n) sift.
 //
 // Events live in one of three tiers:
 //
@@ -28,7 +28,7 @@ import (
 // rungs or bottom. Top and bucket membership is link surgery through
 // the arena; no event data is copied when a tier subdivides. The
 // arena is the queue's only growing allocation (high-water = peak
-// pending, exactly like the heap's backing array), and freed slots
+// pending, as for a heap's backing array), and freed slots
 // are reused LIFO so the hot working set stays cache-resident — a
 // simulator is created per study, so per-instance warm-up cost
 // matters as much as steady state.
@@ -38,12 +38,13 @@ import (
 // which it does for the workload's same-instant bursts: wormhole hop
 // timing schedules whole wavefronts of events at identical
 // now+hopDelay instants, and because seq is assigned in push order, a
-// bucket holding one instant is born sorted. The heap paid a full
+// bucket holding one instant is born sorted. A heap would pay a full
 // O(log n) sift for every one of those events; the ladder absorbs the
 // burst with O(1) appends and one linear drain.
 //
-// Execution order is bit-for-bit identical to the heap: ties are
-// still broken by seq, and bucket routing uses a monotone time→bucket
+// Execution order is bit-for-bit that of a binary heap over (due,
+// seq) — the reference oracle the tests drain it against: ties are
+// broken by seq, and bucket routing uses a monotone time→bucket
 // map per rung, so floating-point rounding at a bucket boundary can
 // never reorder two events — a monotone map keeps earlier-due events
 // in earlier-or-equal buckets, and equal dues always share a bucket.
@@ -151,8 +152,6 @@ func newLadderQueue() *ladderQueue {
 		topStart: math.Inf(-1),
 	}
 }
-
-func (q *ladderQueue) Len() int { return q.n }
 
 // alloc claims an arena slot for e and returns its index.
 func (q *ladderQueue) alloc(e event) int32 {
@@ -483,8 +482,12 @@ func (q *ladderQueue) pop() event {
 	return e
 }
 
-// popWavefront pops the front equal-due run under the bound in one
-// sweep of the bottom window. This is where batching pays: the refill
+// popWavefront appends to dst the maximal front run of events that
+// share the earliest due time and removes them from the calendar, in
+// one sweep of the bottom window. The run comes back in (due, seq)
+// order — exactly the order repeated pop calls would yield — and as
+// copies, never views into calendar storage; dst is caller-owned
+// scratch. This is where batching pays: the refill
 // check, cursor advance and free-list bookkeeping are done once per
 // run instead of once per event, and the run is read straight out of
 // the already-sorted bottom span.
@@ -497,7 +500,7 @@ func (q *ladderQueue) pop() event {
 // carry larger seqs still. If a run is ever split by an exhausted
 // bottom, the next call simply returns the remainder; a wavefront is
 // an optimization batch, not a semantic unit.
-func (q *ladderQueue) popWavefront(dst []event, limDue Time, limSeq uint64) []event {
+func (q *ladderQueue) popWavefront(dst []event) []event {
 	if q.n == 0 {
 		panic("sim: pop from empty calendar")
 	}
@@ -505,18 +508,9 @@ func (q *ladderQueue) popWavefront(dst []event, limDue Time, limSeq uint64) []ev
 		q.refill()
 	}
 	due := q.bottom[q.botIdx].due
-	if due > limDue || (due == limDue && q.bottom[q.botIdx].seq >= limSeq) {
-		return dst
-	}
 	end := q.botIdx + 1
-	if due == limDue {
-		for end < len(q.bottom) && q.bottom[end].due == due && q.bottom[end].seq < limSeq {
-			end++
-		}
-	} else {
-		for end < len(q.bottom) && q.bottom[end].due == due {
-			end++
-		}
+	for end < len(q.bottom) && q.bottom[end].due == due {
+		end++
 	}
 	for k := q.botIdx; k < end; k++ {
 		it := q.bottom[k]

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -27,11 +28,11 @@ func (x *xorshift64) float01() float64 {
 
 // drainMatches pops both calendars dry, asserting every event emerges
 // in the identical (due, seq) order.
-func drainMatches(t *testing.T, heap, ladder calendar) {
+func drainMatches(t *testing.T, heap *eventQueue, ladder *ladderQueue) {
 	t.Helper()
 	for heap.Len() > 0 {
-		if ladder.Len() != heap.Len() {
-			t.Fatalf("Len mismatch: heap %d, ladder %d", heap.Len(), ladder.Len())
+		if ladder.n != heap.Len() {
+			t.Fatalf("Len mismatch: heap %d, ladder %d", heap.Len(), ladder.n)
 		}
 		hp, lp := heap.peek(), ladder.peek()
 		if hp.due != lp.due || hp.seq != lp.seq {
@@ -42,8 +43,8 @@ func drainMatches(t *testing.T, heap, ladder calendar) {
 			t.Fatalf("pop mismatch: heap (due=%v seq=%d), ladder (due=%v seq=%d)", he.due, he.seq, le.due, le.seq)
 		}
 	}
-	if ladder.Len() != 0 {
-		t.Fatalf("ladder retains %d events after heap drained", ladder.Len())
+	if ladder.n != 0 {
+		t.Fatalf("ladder retains %d events after heap drained", ladder.n)
 	}
 }
 
@@ -74,8 +75,8 @@ func TestLadderMatchesHeapRegimes(t *testing.T) {
 	for _, rg := range regimes {
 		t.Run(rg.name, func(t *testing.T) {
 			rng := xorshift64(rg.seed)
-			heap := calendar(&eventQueue{})
-			ladder := calendar(newLadderQueue())
+			heap := &eventQueue{}
+			ladder := newLadderQueue()
 			now := Time(0)
 			var seq uint64
 			push := func(due Time) {
@@ -112,8 +113,8 @@ func TestLadderMatchesHeapRegimes(t *testing.T) {
 // the pure priority-queue contract.
 func TestLadderMatchesHeapQuick(t *testing.T) {
 	f := func(raw []uint32) bool {
-		heap := calendar(&eventQueue{})
-		ladder := calendar(newLadderQueue())
+		heap := &eventQueue{}
+		ladder := newLadderQueue()
 		for i, v := range raw {
 			// Map the fuzz value onto a mix of magnitudes and repeats.
 			due := Time(v%97) * math.Exp2(float64(v%11)-5)
@@ -127,7 +128,7 @@ func TestLadderMatchesHeapQuick(t *testing.T) {
 				return false
 			}
 		}
-		return ladder.Len() == 0
+		return ladder.n == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -138,8 +139,8 @@ func TestLadderMatchesHeapQuick(t *testing.T) {
 // ladderBottomMax so the bottom spills into a fresh rung, and checks
 // order is preserved through the spill.
 func TestLadderBottomSpill(t *testing.T) {
-	heap := calendar(&eventQueue{})
-	ladder := calendar(newLadderQueue())
+	heap := &eventQueue{}
+	ladder := newLadderQueue()
 	var seq uint64
 	push := func(due Time) {
 		heap.push(event{due: due, seq: seq, fn: func(*Simulator, any) {}})
@@ -168,9 +169,8 @@ func TestLadderBottomSpill(t *testing.T) {
 // prefix rather than grow with every event that passes through, and
 // the drain order must still match the heap's.
 func TestLadderBottomStaysBounded(t *testing.T) {
-	heap := calendar(&eventQueue{})
-	lq := newLadderQueue()
-	ladder := calendar(lq)
+	heap := &eventQueue{}
+	ladder := newLadderQueue()
 	var seq uint64
 	push := func(due Time) {
 		heap.push(event{due: due, seq: seq, fn: func(*Simulator, any) {}})
@@ -194,7 +194,7 @@ func TestLadderBottomStaysBounded(t *testing.T) {
 		at += 1e-6
 		push(at)
 	}
-	if c := cap(lq.bottom); c > block {
+	if c := cap(ladder.bottom); c > block {
 		t.Errorf("bottom capacity %d after %d in-order pushes, want at most %d", c, pushes, block)
 	}
 	drainMatches(t, heap, ladder)
@@ -204,8 +204,8 @@ func TestLadderBottomStaysBounded(t *testing.T) {
 // window, exercising rung-spawn recursion well past one level, plus a
 // same-instant block too large for any threshold.
 func TestLadderDeepRecursion(t *testing.T) {
-	heap := calendar(&eventQueue{})
-	ladder := calendar(newLadderQueue())
+	heap := &eventQueue{}
+	ladder := newLadderQueue()
 	rng := xorshift64(99)
 	var seq uint64
 	push := func(due Time) {
@@ -225,8 +225,8 @@ func TestLadderDeepRecursion(t *testing.T) {
 // TestLadderExtremeTimes covers the float edge cases the bucket maps
 // must route monotonically: subnormal spans, huge magnitudes, +Inf.
 func TestLadderExtremeTimes(t *testing.T) {
-	heap := calendar(&eventQueue{})
-	ladder := calendar(newLadderQueue())
+	heap := &eventQueue{}
+	ladder := newLadderQueue()
 	times := []Time{
 		0, math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64,
 		1e-300, 1e300, math.MaxFloat64, math.Inf(1),
@@ -258,73 +258,138 @@ func TestLadderEmptyPanics(t *testing.T) {
 	mustPanicWith(t, "sim: peek at empty calendar", func() { q.peek() })
 }
 
-// TestCalendarNames pins the CLI names of the calendar knob.
-func TestCalendarNames(t *testing.T) {
-	for _, c := range []Calendar{Ladder, Heap} {
-		got, err := ParseCalendar(c.String())
-		if err != nil || got != c {
-			t.Fatalf("ParseCalendar(%q) = %v, %v; want %v", c.String(), got, err, c)
-		}
-	}
-	if _, err := ParseCalendar("btree"); err == nil {
-		t.Fatal("ParseCalendar accepted an unknown name")
-	}
-	if Calendar(42).String() == "" {
-		t.Fatal("unknown Calendar stringer returned empty")
-	}
+// clock is what the self-scheduling workload needs of a kernel: the
+// Simulator (through simClock) and the heap reference loop both
+// provide it.
+type clock interface {
+	Now() Time
+	After(d Time, f func())
+	Stop()
 }
 
-// TestDefaultCalendarKnob checks the process-wide default switches
-// what New builds, and that NewWithCalendar reports its kind.
-func TestDefaultCalendarKnob(t *testing.T) {
-	defer SetDefaultCalendar(Ladder)
-	if New().Calendar() != Ladder {
-		t.Fatal("default calendar is not the ladder")
-	}
-	SetDefaultCalendar(Heap)
-	if New().Calendar() != Heap {
-		t.Fatal("SetDefaultCalendar(Heap) did not take")
-	}
-	if NewWithCalendar(Ladder).Calendar() != Ladder {
-		t.Fatal("NewWithCalendar(Ladder) mislabeled")
-	}
-	mustPanicWith(t, "sim: unknown calendar 42", func() { NewWithCalendar(Calendar(42)) })
+// simClock adapts a Simulator to clock.
+type simClock struct{ *Simulator }
+
+func (c simClock) After(d Time, f func()) { c.Simulator.After(d, f) }
+
+// traceRec is one executed event: when it ran and which it was.
+type traceRec struct {
+	at Time
+	id int
 }
 
-// TestSimulatorsAgreeAcrossCalendars runs the same self-scheduling
-// workload on a heap simulator and a ladder simulator and compares
-// clocks, event counts and execution traces — the kernel-level version
-// of the golden byte-identity the scenario tests pin.
-func TestSimulatorsAgreeAcrossCalendars(t *testing.T) {
-	run := func(c Calendar) (trace []Time, fired uint64) {
-		s := NewWithCalendar(c)
-		rng := xorshift64(7)
-		var grow Func
-		grow = func(_ *Simulator, arg any) {
-			depth := arg.(int)
-			trace = append(trace, s.Now())
-			if depth >= 12 {
+// selfScheduling loads a branching workload onto c and returns the
+// trace its events append to as they run. Eight roots share t=0, so
+// the first batch holds at least eight records; every event schedules
+// 0–3 children at delays of 0–1 µs in quarter steps (a zero delay
+// lands on the running instant, behind the batch in flight), and the
+// stopAt-th event to run (1-based; 0 = never) calls Stop instead of
+// scheduling.
+func selfScheduling(c clock, stopAt int) *[]traceRec {
+	trace := new([]traceRec)
+	rng := xorshift64(7)
+	nextID := 0
+	var spawn func(depth int, delay Time)
+	spawn = func(depth int, delay Time) {
+		id := nextID
+		nextID++
+		c.After(delay, func() {
+			*trace = append(*trace, traceRec{c.Now(), id})
+			if len(*trace) == stopAt {
+				c.Stop()
 				return
 			}
-			fan := 1 + int(rng.next()%3)
-			for i := 0; i < fan; i++ {
-				s.AfterCall(Time(rng.next()%5)*0.25, grow, depth+1)
+			if depth >= 10 {
+				return
 			}
+			fan := uint64(2) // roots
+			if depth > 0 {
+				fan = rng.next() % 4
+			}
+			for ; fan > 0; fan-- {
+				spawn(depth+1, Time(rng.next()%5)*0.25)
+			}
+		})
+	}
+	for i := 0; i < 8; i++ {
+		spawn(0, 0)
+	}
+	return trace
+}
+
+// runOutcome is everything a drain leaves observable.
+type runOutcome struct {
+	trace   []traceRec
+	now     Time
+	fired   uint64
+	pending int
+}
+
+func compareOutcomes(t *testing.T, label string, want, got runOutcome) {
+	t.Helper()
+	if len(want.trace) != len(got.trace) {
+		t.Fatalf("%s: ran %d events, reference ran %d", label, len(got.trace), len(want.trace))
+	}
+	for i := range want.trace {
+		if want.trace[i] != got.trace[i] {
+			t.Fatalf("%s: trace diverges at event %d: got %+v, reference %+v", label, i, got.trace[i], want.trace[i])
 		}
-		for i := 0; i < 8; i++ {
-			s.AtCall(Time(i)*0.5, grow, 0)
+	}
+	if got.now != want.now || got.fired != want.fired || got.pending != want.pending {
+		t.Fatalf("%s: (now=%v fired=%d pending=%d), reference (now=%v fired=%d pending=%d)",
+			label, got.now, got.fired, got.pending, want.now, want.fired, want.pending)
+	}
+}
+
+// stopPoints are the selfScheduling stop positions every differential
+// covers: never, inside the first batch (the eight t=0 roots), and
+// two points deep in the run.
+var stopPoints = []int{0, 3, 137, 600}
+
+// TestSimulatorsAgreeAcrossCalendars runs the self-scheduling workload
+// on a Simulator (ladder calendar, batched drain) and on the heap
+// reference loop (one record at a time) and compares the execution
+// traces, clocks, event counts and what stays pending — the
+// kernel-level version of the golden byte-identity the scenario tests
+// pin. The Stop cases cover a Stop landing mid-batch, whose unexecuted
+// remainder must still count as pending.
+func TestSimulatorsAgreeAcrossCalendars(t *testing.T) {
+	for _, stopAt := range stopPoints {
+		ref := &heapSim{}
+		refTrace := selfScheduling(ref, stopAt)
+		ref.run()
+		want := runOutcome{*refTrace, ref.now, ref.fired, ref.q.Len()}
+		if len(want.trace) < 1000 && stopAt == 0 {
+			t.Fatalf("workload ran only %d events", len(want.trace))
 		}
+
+		s := New()
+		trace := selfScheduling(simClock{s}, stopAt)
 		s.Run()
-		return trace, s.Fired()
+		compareOutcomes(t, fmt.Sprintf("stopAt=%d", stopAt), want, runOutcome{*trace, s.Now(), s.Fired(), s.Pending()})
+		if stopAt == 3 && s.Pending() < 5 {
+			t.Fatalf("stop inside the first batch left %d pending, want the batch's 5 unexecuted roots at least", s.Pending())
+		}
 	}
-	ht, hf := run(Heap)
-	lt, lf := run(Ladder)
-	if hf != lf {
-		t.Fatalf("fired: heap %d, ladder %d", hf, lf)
-	}
-	for i := range ht {
-		if ht[i] != lt[i] {
-			t.Fatalf("trace diverges at event %d: heap t=%v, ladder t=%v", i, ht[i], lt[i])
+}
+
+// TestRunMatchesStepLoop is the drain-loop differential on the real
+// Simulator: Run's batched drain must leave exactly the state a plain
+// Step loop does, Stop mid-batch included.
+func TestRunMatchesStepLoop(t *testing.T) {
+	for _, stopAt := range stopPoints {
+		stepper := New()
+		stepTrace := selfScheduling(simClock{stepper}, stopAt)
+		for stepper.Step() {
+		}
+		want := runOutcome{*stepTrace, stepper.Now(), stepper.Fired(), stepper.Pending()}
+
+		s := New()
+		trace := selfScheduling(simClock{s}, stopAt)
+		s.Run()
+		compareOutcomes(t, fmt.Sprintf("stopAt=%d", stopAt), want, runOutcome{*trace, s.Now(), s.Fired(), s.Pending()})
+		if st := s.WavefrontStats(); st.Events <= st.Batches {
+			t.Fatalf("Run drained %d records in %d batches: no multi-record batch formed", st.Events, st.Batches)
 		}
 	}
 }

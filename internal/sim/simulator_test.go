@@ -69,34 +69,30 @@ func TestNestedSchedulingDuringRun(t *testing.T) {
 }
 
 // TestSchedulingInPastPanics pins the past-scheduling guard for both
-// the closure (At) and record (AtCall) entry points on both
-// calendars: a t < now schedule would execute after later-scheduled
-// events, silently corrupting causality, so — like the
-// schedule-after-Stop guard — the kernel names the misuse instead.
-// The panic text is part of the contract.
+// the closure (At) and record (AtCall) entry points: a t < now
+// schedule would execute after later-scheduled events, silently
+// corrupting causality, so — like the schedule-after-Stop guard — the
+// kernel names the misuse instead. The panic text is part of the
+// contract.
 func TestSchedulingInPastPanics(t *testing.T) {
-	for _, c := range []Calendar{Ladder, Heap} {
-		t.Run(c.String(), func(t *testing.T) {
-			s := NewWithCalendar(c)
-			ran := false
-			s.At(10, func() {
-				ran = true
-				mustPanicWith(t, "sim: scheduling into the past: t=5 is before now=10",
-					func() { s.At(5, func() {}) })
-				mustPanicWith(t, "sim: scheduling into the past: t=9.5 is before now=10",
-					func() { s.AtCall(9.5, func(*Simulator, any) {}, nil) })
-				// The boundary is inclusive: scheduling at exactly now
-				// is legal and fires after pending same-instant events.
-				s.AtCall(10, func(*Simulator, any) {}, nil)
-			})
-			s.Run()
-			if !ran {
-				t.Fatal("driver event never ran")
-			}
-			if s.Fired() != 2 {
-				t.Fatalf("fired %d events, want 2 (the at-now schedule must fire)", s.Fired())
-			}
-		})
+	s := New()
+	ran := false
+	s.At(10, func() {
+		ran = true
+		mustPanicWith(t, "sim: scheduling into the past: t=5 is before now=10",
+			func() { s.At(5, func() {}) })
+		mustPanicWith(t, "sim: scheduling into the past: t=9.5 is before now=10",
+			func() { s.AtCall(9.5, func(*Simulator, any) {}, nil) })
+		// The boundary is inclusive: scheduling at exactly now is
+		// legal and fires after pending same-instant events.
+		s.AtCall(10, func(*Simulator, any) {}, nil)
+	})
+	s.Run()
+	if !ran {
+		t.Fatal("driver event never ran")
+	}
+	if s.Fired() != 2 {
+		t.Fatalf("fired %d events, want 2 (the at-now schedule must fire)", s.Fired())
 	}
 }
 
@@ -192,7 +188,7 @@ func mustPanicWith(t *testing.T, msg string, f func()) {
 }
 
 func TestEmptyPopPanicsDescriptively(t *testing.T) {
-	var q eventQueue
+	q := newLadderQueue()
 	mustPanicWith(t, "sim: pop from empty calendar", func() { q.pop() })
 	mustPanicWith(t, "sim: peek at empty calendar", func() { q.peek() })
 }
@@ -258,30 +254,30 @@ func TestNilFuncPanics(t *testing.T) {
 
 // TestScheduleIsAllocationFree pins the kernel contract the network
 // hot path relies on: scheduling a prebuilt record costs zero
-// allocations once the calendar's backing storage is warm — for the
-// ladder that means the arena and tier slices have reached their
-// high-water marks, for the heap its backing array.
+// allocations once the calendar's backing storage is warm — the
+// ladder's arena and tier slices have reached their high-water marks.
+// Both drains are covered: Step and Run's batched loop.
 func TestScheduleIsAllocationFree(t *testing.T) {
-	for _, c := range []Calendar{Ladder, Heap} {
-		t.Run(c.String(), func(t *testing.T) {
-			s := NewWithCalendar(c)
-			noop := func(*Simulator, any) {}
-			// Warm the calendar capacity.
-			for i := 0; i < 64; i++ {
-				s.AtCall(1, noop, nil)
-			}
-			s.Run()
-			avg := testing.AllocsPerRun(100, func() {
-				for i := 0; i < 32; i++ {
-					s.AtCall(s.Now()+1, noop, s)
-				}
-				for s.Step() {
-				}
-			})
-			if avg != 0 {
-				t.Errorf("AtCall allocates %v per 32-event batch, want 0", avg)
-			}
-		})
+	s := New()
+	noop := func(*Simulator, any) {}
+	// Warm the calendar capacity.
+	for i := 0; i < 64; i++ {
+		s.AtCall(1, noop, nil)
+	}
+	s.Run()
+	avg := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 32; i++ {
+			s.AtCall(s.Now()+1, noop, s)
+		}
+		for s.Step() {
+		}
+		for i := 0; i < 32; i++ {
+			s.AtCall(s.Now()+1, noop, s)
+		}
+		s.Run()
+	})
+	if avg != 0 {
+		t.Errorf("AtCall allocates %v per 64-event round, want 0", avg)
 	}
 }
 

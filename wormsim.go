@@ -19,7 +19,7 @@
 //
 // The package is a facade: the implementation lives in internal
 // packages (topology, routing, core, network, broadcast, traffic,
-// metrics, experiments), re-exported here as type aliases so the
+// metrics, scenario), re-exported here as type aliases so the
 // whole system is reachable through one import.
 package wormsim
 
@@ -27,7 +27,6 @@ import (
 	"context"
 
 	"repro/internal/broadcast"
-	"repro/internal/experiments"
 	"repro/internal/export"
 	"repro/internal/fault"
 	"repro/internal/metrics"
@@ -156,54 +155,12 @@ const (
 	LazyStoreThreshold = network.LazyStoreThreshold
 )
 
-// Calendar selects the event-calendar implementation backing a
-// simulator: CalendarLadder (the default amortized-O(1) ladder queue)
-// or CalendarHeap (the legacy binary heap, kept as a cross-checking
-// reference). Both execute any schedule in the identical order;
-// only throughput differs.
-type Calendar = sim.Calendar
-
-const (
-	// CalendarLadder is the default ladder-queue calendar.
-	CalendarLadder = sim.Ladder
-	// CalendarHeap is the legacy binary-heap calendar.
-	CalendarHeap = sim.Heap
-)
-
-// ParseCalendar converts a -calendar flag value ("ladder" or "heap")
-// into a Calendar.
-func ParseCalendar(name string) (Calendar, error) { return sim.ParseCalendar(name) }
-
-// SetDefaultCalendar selects the calendar every subsequently created
-// simulator uses — including the ones experiments and scenarios build
-// internally. Call it before starting a run, not during one.
-func SetDefaultCalendar(c Calendar) { sim.SetDefaultCalendar(c) }
-
-// DefaultCalendar reports the calendar NewSimulator currently uses.
-func DefaultCalendar() Calendar { return sim.DefaultCalendar() }
-
-// SetDefaultWavefront selects whether every subsequently created
-// simulator executes same-instant event runs as batched wavefronts
-// (the default) or pops one event at a time. Output is byte-identical
-// either way — the knob exists for A/B speed runs and differential
-// tests (cmd/paperbench and cmd/sweep expose it as -wavefront).
-func SetDefaultWavefront(on bool) { sim.SetDefaultWavefront(on) }
-
-// DefaultWavefront reports whether NewSimulator currently enables
-// wavefront batch execution.
-func DefaultWavefront() bool { return sim.DefaultWavefront() }
-
 // WavefrontStats is a simulator's wavefront batch-size census:
 // batches drained, events they carried, and a log2 size histogram.
 type WavefrontStats = sim.WavefrontStats
 
-// NewSimulator returns an empty discrete-event simulator backed by
-// the process default calendar.
+// NewSimulator returns an empty discrete-event simulator.
 func NewSimulator() *Simulator { return sim.New() }
-
-// NewSimulatorWithCalendar returns an empty discrete-event simulator
-// backed by the given calendar implementation.
-func NewSimulatorWithCalendar(c Calendar) *Simulator { return sim.NewWithCalendar(c) }
 
 // NewNetwork builds a wormhole network over topo driven by s.
 func NewNetwork(s *Simulator, topo Topology, cfg Config) (*Network, error) {
@@ -235,7 +192,7 @@ func NewDB() Algorithm { return broadcast.NewDB() }
 func NewAB() Algorithm { return broadcast.NewAB() }
 
 // Algorithms returns all four planners in the paper's order.
-func Algorithms() []Algorithm { return experiments.PaperAlgorithms() }
+func Algorithms() []Algorithm { return scenario.PaperAlgorithms() }
 
 // RunBroadcast executes one single-source broadcast of length flits
 // from src on an idle network over m and returns the per-node arrival
@@ -372,8 +329,8 @@ func RunMixedWith(m *Mesh, ncfg Config, cfg MixedConfig) (*MixedResult, error) {
 }
 
 // Scenario API: one declarative spec, a registry of every experiment,
-// and one run loop. This is how new code runs studies; the per-figure
-// config types below are kept as deprecated wrappers.
+// and one run loop — the way to run any paper figure, table or
+// ablation.
 type (
 	// Scenario is the declarative spec of one experiment: topology,
 	// algorithm set, workload, sweep axis, replication and
@@ -501,54 +458,10 @@ var NewJSONSink = scenario.NewJSONSink
 // NewCSVSink returns a sink writing the primary artifact as CSV.
 var NewCSVSink = export.NewCSVSink
 
-// Paper experiments.
+// Paper artifacts.
 type (
 	// Figure is a reproduced paper figure.
-	Figure = experiments.Figure
+	Figure = scenario.Figure
 	// CVTable is a reproduced paper table (Tables 1 and 2).
-	CVTable = experiments.CVTable
-	// Fig1Config parameterises the Fig. 1 sweep.
-	Fig1Config = experiments.Fig1Config
-	// Fig2Config parameterises Fig. 2 and Tables 1–2.
-	Fig2Config = experiments.Fig2Config
-	// Fig34Config parameterises Figs. 3 and 4.
-	Fig34Config = experiments.Fig34Config
+	CVTable = scenario.CVTable
 )
-
-// Fig1 reproduces Fig. 1 (latency vs network size).
-//
-// Deprecated: use RunScenario(ctx, "fig1", ...).
-func Fig1(cfg Fig1Config) (*Figure, error) { return experiments.Fig1(cfg) }
-
-// Fig1StartupLatency reproduces §3.1's Ts=0.15 µs sensitivity sweep.
-//
-// Deprecated: use RunScenario(ctx, "fig1b", ...).
-func Fig1StartupLatency(cfg Fig1Config) (*Figure, error) {
-	return experiments.Fig1StartupLatency(cfg)
-}
-
-// Fig2 reproduces Fig. 2 (arrival-time CV vs network size).
-//
-// Deprecated: use RunScenario(ctx, "fig2", ...).
-func Fig2(cfg Fig2Config) (*Figure, error) { return experiments.Fig2(cfg) }
-
-// Tables reproduces Tables 1 and 2 (CV and improvement percentages).
-//
-// Deprecated: use RunScenario(ctx, "fig2", ...); the result carries
-// both tables.
-func Tables(cfg Fig2Config) (*CVTable, *CVTable, error) { return experiments.Tables(cfg) }
-
-// Fig2AndTables computes the shared (algorithm, mesh) study grid once
-// and projects it into Fig. 2 and Tables 1–2.
-//
-// Deprecated: use RunScenario(ctx, "fig2", ...); every contended run
-// carries the figure and both tables from one grid.
-func Fig2AndTables(cfg Fig2Config) (*Figure, *CVTable, *CVTable, error) {
-	return experiments.Fig2AndTables(cfg)
-}
-
-// Fig34 reproduces Fig. 3 (8×8×8) or Fig. 4 (16×16×8) mixed-traffic
-// latency curves, selected by cfg.Dims.
-//
-// Deprecated: use RunScenario(ctx, "fig3" / "fig4", ...).
-func Fig34(cfg Fig34Config) (*Figure, error) { return experiments.Fig34(cfg) }
