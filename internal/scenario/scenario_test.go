@@ -81,7 +81,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 // fan-out path.
 func TestRunDeterministicAcrossProcs(t *testing.T) {
 	for _, name := range []string{
-		"fig1", "fig1b", "fig2", "fig3", "fig4",
+		"fig1", "fig1b", "fig2", "table1", "table2", "fig3", "fig4",
 		"ablation-length", "ablation-hop", "ablation-substrate", "ablation-ports",
 		"fig1-ts", "fig2-torus", "fig2-torus-vc", "saturation", "saturation-torus",
 		"fig2-faults", "faults-adaptive", "faults-transient",

@@ -73,27 +73,29 @@ func TestNestedSchedulingDuringRun(t *testing.T) {
 // schedule would execute after later-scheduled events, silently
 // corrupting causality, so — like the schedule-after-Stop guard — the
 // kernel names the misuse instead. The panic text is part of the
-// contract.
+// contract. The subtest is named for the calendar under test.
 func TestSchedulingInPastPanics(t *testing.T) {
-	s := New()
-	ran := false
-	s.At(10, func() {
-		ran = true
-		mustPanicWith(t, "sim: scheduling into the past: t=5 is before now=10",
-			func() { s.At(5, func() {}) })
-		mustPanicWith(t, "sim: scheduling into the past: t=9.5 is before now=10",
-			func() { s.AtCall(9.5, func(*Simulator, any) {}, nil) })
-		// The boundary is inclusive: scheduling at exactly now is
-		// legal and fires after pending same-instant events.
-		s.AtCall(10, func(*Simulator, any) {}, nil)
+	t.Run("ladder", func(t *testing.T) {
+		s := New()
+		ran := false
+		s.At(10, func() {
+			ran = true
+			mustPanicWith(t, "sim: scheduling into the past: t=5 is before now=10",
+				func() { s.At(5, func() {}) })
+			mustPanicWith(t, "sim: scheduling into the past: t=9.5 is before now=10",
+				func() { s.AtCall(9.5, func(*Simulator, any) {}, nil) })
+			// The boundary is inclusive: scheduling at exactly now is
+			// legal and fires after pending same-instant events.
+			s.AtCall(10, func(*Simulator, any) {}, nil)
+		})
+		s.Run()
+		if !ran {
+			t.Fatal("driver event never ran")
+		}
+		if s.Fired() != 2 {
+			t.Fatalf("fired %d events, want 2 (the at-now schedule must fire)", s.Fired())
+		}
 	})
-	s.Run()
-	if !ran {
-		t.Fatal("driver event never ran")
-	}
-	if s.Fired() != 2 {
-		t.Fatalf("fired %d events, want 2 (the at-now schedule must fire)", s.Fired())
-	}
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
@@ -256,29 +258,32 @@ func TestNilFuncPanics(t *testing.T) {
 // hot path relies on: scheduling a prebuilt record costs zero
 // allocations once the calendar's backing storage is warm — the
 // ladder's arena and tier slices have reached their high-water marks.
-// Both drains are covered: Step and Run's batched loop.
+// Both drains are covered: Step and Run's batched loop. The subtest
+// is named for the calendar under test.
 func TestScheduleIsAllocationFree(t *testing.T) {
-	s := New()
-	noop := func(*Simulator, any) {}
-	// Warm the calendar capacity.
-	for i := 0; i < 64; i++ {
-		s.AtCall(1, noop, nil)
-	}
-	s.Run()
-	avg := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 32; i++ {
-			s.AtCall(s.Now()+1, noop, s)
-		}
-		for s.Step() {
-		}
-		for i := 0; i < 32; i++ {
-			s.AtCall(s.Now()+1, noop, s)
+	t.Run("ladder", func(t *testing.T) {
+		s := New()
+		noop := func(*Simulator, any) {}
+		// Warm the calendar capacity.
+		for i := 0; i < 64; i++ {
+			s.AtCall(1, noop, nil)
 		}
 		s.Run()
+		avg := testing.AllocsPerRun(100, func() {
+			for i := 0; i < 32; i++ {
+				s.AtCall(s.Now()+1, noop, s)
+			}
+			for s.Step() {
+			}
+			for i := 0; i < 32; i++ {
+				s.AtCall(s.Now()+1, noop, s)
+			}
+			s.Run()
+		})
+		if avg != 0 {
+			t.Errorf("AtCall allocates %v per 64-event round, want 0", avg)
+		}
 	})
-	if avg != 0 {
-		t.Errorf("AtCall allocates %v per 64-event round, want 0", avg)
-	}
 }
 
 // TestHeapProperty feeds random times through the queue and verifies
