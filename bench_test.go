@@ -100,7 +100,9 @@ func BenchmarkFig2CoefficientOfVariation(b *testing.B) {
 // Channel contention, wait-queue churn and worm turnover dominate, so
 // allocs/op and ns/op here are the numbers BENCH_*.json tracks across
 // PRs (see cmd/paperbench -benchjson). events/sec reports the raw
-// discrete-event kernel throughput through the same workload.
+// discrete-event kernel throughput through the same workload. Every
+// iteration plans its broadcasts afresh (there is no plan cache) and
+// runs on the network the previous iteration released.
 func BenchmarkFig2Saturation(b *testing.B) {
 	m := wormsim.NewMesh(wormsim.SaturationDims()...)
 	for _, algo := range wormsim.Algorithms() {

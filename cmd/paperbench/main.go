@@ -71,6 +71,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -82,7 +83,7 @@ import (
 func main() {
 	var (
 		quick    = flag.Bool("quick", false, "reduced replication counts for a fast run")
-		only     = flag.String("only", "", "comma-separated subset: fig1, fig1b, fig2, tables, fig3, fig4, fig2-torus, faults")
+		only     = flag.String("only", "", "comma-separated subset: "+strings.Join(artifacts, ", "))
 		seed     = flag.Uint64("seed", 2005, "random seed")
 		csvDir   = flag.String("csv", "", "also write each artifact as CSV into this directory")
 		batchesF = flag.Int("batches", 0, "override batch count for the traffic figures")
@@ -104,6 +105,11 @@ func main() {
 		benchGdMode   = flag.String("benchguardmode", "full", "what -benchguard enforces: full (events/sec floor + allocs/op ceiling) or alloc (allocs/op + bytes/op ceilings — machine-independent, for guarding fresh measurements against committed artifacts)")
 	)
 	flag.Parse()
+	want, err := parseOnly(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
+		os.Exit(2)
+	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -151,12 +157,6 @@ func main() {
 		}
 	}
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToLower(k))] = true
-		}
-	}
 	selected := func(k string) bool { return len(want) == 0 || want[k] }
 
 	reps := 40
@@ -313,6 +313,27 @@ func main() {
 			writeCSV(name+".csv", func(f *os.File) error { return export.FigureCSV(f, res.Figure) })
 		}
 	}
+}
+
+// artifacts are the names -only accepts, in print order.
+var artifacts = []string{"fig1", "fig1b", "fig2", "tables", "fig3", "fig4", "fig2-torus", "faults"}
+
+// parseOnly turns -only's comma-separated names (any case) into the
+// selection set, empty for an empty flag (everything). An unknown or
+// empty name is an error listing the valid ones.
+func parseOnly(only string) (map[string]bool, error) {
+	want := map[string]bool{}
+	if only == "" {
+		return want, nil
+	}
+	for _, k := range strings.Split(only, ",") {
+		k = strings.ToLower(strings.TrimSpace(k))
+		if !slices.Contains(artifacts, k) {
+			return nil, fmt.Errorf("-only: unknown artifact %q (valid: %s)", k, strings.Join(artifacts, ", "))
+		}
+		want[k] = true
+	}
+	return want, nil
 }
 
 // stderrIsTerminal reports whether stderr is attached to a terminal

@@ -16,7 +16,7 @@ const planAllocBudget = 16
 
 // TestPlanAllocationBudget pins planning's allocation count per plan
 // for each of the paper's algorithms on 8×8×8 and 16×16×16, and the
-// retained footprint of a large cached plan.
+// retained footprint of a large plan.
 func TestPlanAllocationBudget(t *testing.T) {
 	t.Run("allocs", testPlanAllocs)
 	t.Run("retained", testPlanRetained)

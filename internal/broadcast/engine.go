@@ -153,11 +153,10 @@ func Execute(net *network.Network, plan *Plan, opt Options) (*Result, error) {
 	start := plan.index()
 	sends := plan.Sends
 
-	// One backing array holds the execution's transfers: in-flight
-	// worms reference entries until their tails drain, so the array
-	// lives exactly as long as the broadcast — one allocation instead
-	// of one per send.
-	transfers := make([]network.Transfer, len(sends))
+	// The execution's transfers come from the network's slab: in-flight
+	// worms reference entries until their tails drain, and a recycled
+	// network rewinds the slab only once every worm has retired.
+	transfers := net.AllocTransfers(len(sends))
 	nextTransfer := 0
 
 	var deliver func(node topology.NodeID, at sim.Time)
@@ -238,20 +237,22 @@ func Execute(net *network.Network, plan *Plan, opt Options) (*Result, error) {
 const StreamThreshold = 1 << 16
 
 // RunSingle is the convenience path used by the single-source
-// experiments: build a fresh network over m, execute algo's plan from
-// src, run the simulation to completion and return the result. At or
-// above StreamThreshold nodes the result streams (Result.Streaming).
+// experiments: take a pristine network over m (recycled, see
+// network.Acquire), execute algo's plan from src, run the simulation
+// to completion and return the result. At or above StreamThreshold
+// nodes the result streams (Result.Streaming).
 func RunSingle(m *topology.Mesh, algo Algorithm, src topology.NodeID, cfg network.Config, length int) (*Result, error) {
 	plan, err := PlanCached(m, algo, src)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Ports = algo.Ports()
-	s := sim.New()
-	net, err := network.New(s, m, cfg)
+	net, err := network.Acquire(m, cfg)
 	if err != nil {
 		return nil, err
 	}
+	defer net.Release()
+	s := net.Sim()
 	var adaptive routing.Selector
 	if needsAdaptive(plan) {
 		adaptive = routing.WestFirstFor(m)

@@ -141,7 +141,7 @@ func TestHandBuiltPlansIndexAndExecute(t *testing.T) {
 	}
 }
 
-// TestCachedPlanSharedAcrossGoroutines: a cached plan arrives indexed,
+// TestCachedPlanSharedAcrossGoroutines: a PlanCached plan arrives indexed,
 // so concurrent executions on separate networks only read it. Run
 // with -race to check that nothing writes to a published plan.
 func TestCachedPlanSharedAcrossGoroutines(t *testing.T) {

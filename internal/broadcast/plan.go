@@ -111,11 +111,24 @@ func (b *planBuilder) finish() *Plan {
 	return b.p
 }
 
+// PlanCached is algo.Plan followed by Plan.Validate, which also builds
+// the send index, so executions may share the plan read-only. The
+// name is historical: plans were once memoized process-wide.
+func PlanCached(m *topology.Mesh, algo Algorithm, src topology.NodeID) (*Plan, error) {
+	p, err := algo.Plan(m, src)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.Validate(m); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 // index returns the plan's CSR send index, building it on first use:
 // Sends is stably sorted in place into (source, step) order. Not safe
 // for a concurrent first call; executions on one network are
-// single-threaded by design, and cached plans are indexed before they
-// are published.
+// single-threaded by design, and PlanCached returns plans indexed.
 func (p *Plan) index() []int32 {
 	if p.start != nil {
 		return p.start

@@ -65,7 +65,7 @@ func (c ControlField) Stop() bool { return c == Receive }
 //
 // A CodedPath is a small value holding one pointer, its Waypoints
 // slice. Planners store paths by value in their plan's sends and slice
-// every path's waypoints out of one plan-wide arena, so a cached plan
+// every path's waypoints out of one plan-wide arena, so a plan
 // costs the garbage collector a handful of objects, not one per send.
 type CodedPath struct {
 	// Source injects the worm. It is not a delivery point.

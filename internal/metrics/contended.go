@@ -41,7 +41,7 @@ type ContendedConfig struct {
 // simulation whose broadcasts interact through channel contention, so
 // it cannot be split across workers; callers parallelise at the next
 // level up, running whole (algorithm, mesh) studies as independent
-// runner jobs (see experiments.Fig2).
+// runner jobs (see runContended in internal/scenario, the fig2 runner).
 func ContendedCVStudy(m *topology.Mesh, algo broadcast.Algorithm, cfg ContendedConfig) (*SingleSourceStats, error) {
 	if cfg.Broadcasts <= 0 {
 		return nil, fmt.Errorf("metrics: non-positive broadcast count %d", cfg.Broadcasts)
@@ -49,13 +49,14 @@ func ContendedCVStudy(m *topology.Mesh, algo broadcast.Algorithm, cfg ContendedC
 	if cfg.Length <= 0 {
 		return nil, fmt.Errorf("metrics: non-positive length %d", cfg.Length)
 	}
-	s := sim.New()
 	ncfg := cfg.Net
 	ncfg.Ports = algo.Ports()
-	net, err := network.New(s, m, ncfg)
+	net, err := network.Acquire(m, ncfg)
 	if err != nil {
 		return nil, err
 	}
+	defer net.Release()
+	s := net.Sim()
 	var adaptive routing.Selector
 	if algo.Name() == "AB" {
 		adaptive = routing.WestFirstFor(m)

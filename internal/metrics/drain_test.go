@@ -113,24 +113,34 @@ type twin struct {
 	results []*broadcast.Result
 }
 
-// build constructs the case's network and injects the staggered
-// broadcasts from seeded random sources, 2 µs apart on average. Two builds of one case are
-// identical twins.
-func (c twinCase) build() (*twin, error) {
-	m := c.mesh()
-	algo := twinAlgos[c.algoIx]
+// config is the case's network configuration.
+func (c twinCase) config() network.Config {
 	cfg := network.DefaultConfig()
 	if c.torus {
 		cfg.VCs = 2
 	}
 	cfg.Store = c.store
 	cfg.DeadWait = c.grace
-	cfg.Ports = algo.Ports()
-	tw := &twin{s: sim.New()}
-	var err error
-	if tw.net, err = network.New(tw.s, m, cfg); err != nil {
+	cfg.Ports = twinAlgos[c.algoIx].Ports()
+	return cfg
+}
+
+// build constructs the case's network and injects the staggered
+// broadcasts from seeded random sources, 2 µs apart on average. Two builds of one case are
+// identical twins.
+func (c twinCase) build() (*twin, error) {
+	m := c.mesh()
+	net, err := network.New(sim.New(), m, c.config())
+	if err != nil {
 		return nil, err
 	}
+	return c.buildOn(m, net)
+}
+
+// buildOn is build on a given pristine network over m.
+func (c twinCase) buildOn(m *topology.Mesh, net *network.Network) (*twin, error) {
+	algo := twinAlgos[c.algoIx]
+	tw := &twin{s: net.Sim(), net: net}
 	plan, err := c.faults(m)
 	if err != nil {
 		return nil, err

@@ -98,13 +98,14 @@ func DegradedStudy(m *topology.Mesh, algo broadcast.Algorithm, cfg DegradedConfi
 	if cfg.Length <= 0 {
 		return nil, fmt.Errorf("metrics: non-positive length %d", cfg.Length)
 	}
-	s := sim.New()
 	ncfg := cfg.Net
 	ncfg.Ports = algo.Ports()
-	net, err := network.New(s, m, ncfg)
+	net, err := network.Acquire(m, ncfg)
 	if err != nil {
 		return nil, err
 	}
+	defer net.Release()
+	s := net.Sim()
 	if err := cfg.Faults.Apply(net); err != nil {
 		return nil, err
 	}

@@ -198,6 +198,8 @@ type Network struct {
 	busyTime  []sim.Time
 	busySince []sim.Time
 	acquires  []uint64
+	slab      []Transfer // AllocTransfers' current chunk; Reset rewinds it
+	slabRun   int        // transfers handed out since the last Reset
 }
 
 type channelState struct {
@@ -217,17 +219,8 @@ func New(s *sim.Simulator, topo topology.Topology, cfg Config) (*Network, error)
 		return nil, err
 	}
 	lanes := topo.ChannelSlots() * cfg.vcs()
-	n := &Network{
-		topo:     topo,
-		sim:      s,
-		cfg:      cfg,
-		lanes:    lanes,
-		hop:      cfg.hopDelay(),
-		deadWait: cfg.DeadWait,
-		beta:     cfg.Beta,
-		nports:   cfg.ports(),
-		vcs:      cfg.vcs(),
-	}
+	n := &Network{topo: topo, sim: s, lanes: lanes}
+	n.configure(cfg)
 	if cfg.Store.LazyFor(topo.Nodes()) {
 		n.lazy = newLazyStore(lanes, topo.Nodes())
 	} else {
@@ -251,6 +244,12 @@ func New(s *sim.Simulator, topo topology.Topology, cfg Config) (*Network, error)
 		}
 	}
 	return n, nil
+}
+
+// configure installs cfg and its hot-path caches (also on recycling).
+func (n *Network) configure(cfg Config) {
+	n.cfg, n.hop, n.beta, n.deadWait = cfg, cfg.hopDelay(), cfg.Beta, cfg.DeadWait
+	n.nports, n.vcs = cfg.ports(), cfg.vcs()
 }
 
 // MustNew is New for known-good configurations; it panics on error.

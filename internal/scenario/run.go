@@ -262,11 +262,8 @@ func (s *Spec) runOneBroadcast(m *topology.Mesh, algo broadcast.Algorithm, src t
 // DOR) included — is used as-is.
 func executePlanned(m *topology.Mesh, algo broadcast.Algorithm, src topology.NodeID,
 	ncfg network.Config, length int, adaptive routing.Selector) (float64, error) {
-	plan, err := algo.Plan(m, src)
+	plan, err := broadcast.PlanCached(m, algo, src)
 	if err != nil {
-		return 0, err
-	}
-	if err := plan.Validate(m); err != nil {
 		return 0, err
 	}
 	sm := sim.New()

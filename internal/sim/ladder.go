@@ -153,6 +153,17 @@ func newLadderQueue() *ladderQueue {
 	}
 }
 
+// reset empties the queue but keeps its arena, bottom and rungs.
+// Popped slots hold no action record; discarded pending ones do.
+func (q *ladderQueue) reset() {
+	if q.n > 0 {
+		clear(q.nodes)
+	}
+	nodes, bottom, rungs := q.nodes[:0], q.bottom[:0], q.rungs
+	*q = *newLadderQueue()
+	q.nodes, q.bottom, q.rungs = nodes, bottom, rungs
+}
+
 // alloc claims an arena slot for e and returns its index.
 func (q *ladderQueue) alloc(e event) int32 {
 	i := q.free

@@ -393,3 +393,40 @@ func TestRunMatchesStepLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestResetMatchesNew: a simulator Reset after another run — one
+// stopped deep in its workload, so Reset discards pending records —
+// must replay a workload exactly as a new simulator does, and keep no
+// reference to a discarded record's action.
+func TestResetMatchesNew(t *testing.T) {
+	for _, stopAt := range stopPoints {
+		fresh := New()
+		trace := selfScheduling(simClock{fresh}, stopAt)
+		fresh.Run()
+		want := runOutcome{*trace, fresh.Now(), fresh.Fired(), fresh.Pending()}
+
+		s := New()
+		selfScheduling(simClock{s}, 600)
+		s.Run()
+		if s.Pending() == 0 {
+			t.Fatal("prior run left nothing pending to discard")
+		}
+		s.Reset()
+		if s.Now() != 0 || s.Fired() != 0 || s.Pending() != 0 || s.Stopped() || s.WavefrontStats() != (WavefrontStats{}) {
+			t.Fatalf("reset simulator: now=%v fired=%d pending=%d stopped=%v %+v",
+				s.Now(), s.Fired(), s.Pending(), s.Stopped(), s.WavefrontStats())
+		}
+		for i, nd := range s.queue.nodes[:cap(s.queue.nodes)] {
+			if nd.fn != nil || nd.arg != nil {
+				t.Fatalf("arena slot %d still holds a discarded record", i)
+			}
+		}
+		trace = selfScheduling(simClock{s}, stopAt)
+		s.Run()
+		label := fmt.Sprintf("stopAt=%d", stopAt)
+		compareOutcomes(t, label, want, runOutcome{*trace, s.Now(), s.Fired(), s.Pending()})
+		if got := s.WavefrontStats(); got != fresh.WavefrontStats() {
+			t.Fatalf("%s: wavefront census %+v, new simulator %+v", label, got, fresh.WavefrontStats())
+		}
+	}
+}

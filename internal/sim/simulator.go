@@ -44,6 +44,14 @@ func New() *Simulator {
 	return &Simulator{queue: newLadderQueue()}
 }
 
+// Reset returns s to the state New leaves it in, discarding pending
+// events but keeping the calendar's storage: event order depends only
+// on (due, seq), never on that storage.
+func (s *Simulator) Reset() {
+	s.queue.reset()
+	*s = Simulator{queue: s.queue, wfBuf: s.wfBuf}
+}
+
 // WavefrontStats returns the batch-size census accumulated so far.
 // Step executes records outside any batch, so it adds nothing here.
 func (s *Simulator) WavefrontStats() WavefrontStats { return s.wfStats }
