@@ -103,6 +103,7 @@ func ContendedCVStudy(m *topology.Mesh, algo broadcast.Algorithm, cfg ContendedC
 
 	s.Run()
 	out.Events = s.Fired()
+	out.Records = s.WavefrontStats().Events
 	out.SimulatedTime = s.Now()
 	for _, r := range results {
 		if !r.Done {

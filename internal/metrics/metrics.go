@@ -43,6 +43,10 @@ type SingleSourceStats struct {
 	// many independent simulations). It is the numerator of the
 	// events/sec kernel-throughput metric the perf benchmarks track.
 	Events uint64
+	// Records counts the calendar records the study's drain carried
+	// (contended studies only): Events less the actions a record folds
+	// into itself. It is the calendar's share of the work.
+	Records uint64
 	// SimulatedTime is the simulated clock at the end of the study
 	// (contended studies only).
 	SimulatedTime sim.Time
