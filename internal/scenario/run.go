@@ -257,20 +257,21 @@ func (s *Spec) runOneBroadcast(m *topology.Mesh, algo broadcast.Algorithm, src t
 	return r.Latency(), nil
 }
 
-// executePlanned plans and executes one broadcast on a fresh network
-// without RunSingle's config rewriting; the selector — nil (plain
-// DOR) included — is used as-is.
+// executePlanned plans and executes one broadcast on a pristine
+// (possibly recycled) network without RunSingle's config rewriting;
+// the selector — nil (plain DOR) included — is used as-is.
 func executePlanned(m *topology.Mesh, algo broadcast.Algorithm, src topology.NodeID,
 	ncfg network.Config, length int, adaptive routing.Selector) (float64, error) {
 	plan, err := broadcast.PlanCached(m, algo, src)
 	if err != nil {
 		return 0, err
 	}
-	sm := sim.New()
-	net, err := network.New(sm, m, ncfg)
+	net, err := network.Acquire(m, ncfg)
 	if err != nil {
 		return 0, err
 	}
+	defer net.Release()
+	sm := net.Sim()
 	r, err := broadcast.Execute(net, plan, broadcast.Options{
 		Length:   length,
 		Adaptive: adaptive,

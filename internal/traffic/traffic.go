@@ -145,7 +145,7 @@ func (r *MixedResult) CIValid() bool {
 	return r.CI.N >= 2 && r.CI.HalfWide >= 0 && !math.IsInf(r.CI.HalfWide, 0) && !math.IsNaN(r.CI.HalfWide)
 }
 
-// RunMixed executes the mixed workload on a fresh network over m with
+// RunMixed executes the mixed workload on a pristine network over m with
 // the paper's timing constants and returns the latency statistics.
 func RunMixed(m *topology.Mesh, cfg MixedConfig) (*MixedResult, error) {
 	ncfg := network.DefaultConfig()
@@ -196,12 +196,12 @@ func RunMixedWith(m *topology.Mesh, ncfg network.Config, cfg MixedConfig) (*Mixe
 	if m.Nodes() < 2 {
 		return nil, fmt.Errorf("traffic: mixed workload needs at least two nodes")
 	}
-	s := sim.New()
-	net, err := network.New(s, m, ncfg)
+	net, err := network.Acquire(m, ncfg)
 	if err != nil {
 		return nil, err
 	}
-	return runMixedOn(s, net, m, cfg)
+	defer net.Release()
+	return runMixedOn(net.Sim(), net, m, cfg)
 }
 
 func runMixedOn(s *sim.Simulator, net *network.Network, m *topology.Mesh, cfg MixedConfig) (*MixedResult, error) {
