@@ -15,6 +15,7 @@ import (
 // The increments mirror the wormhole workload's mix (hop delay, flit
 // drain, startup latency) including same-instant repeats, which is
 // exactly the shape the ladder's deferred-sort fast path targets.
+// The fixed-delay case is the shape the calendar's lanes take.
 
 // holdDeltas is the increment mix; index with a cheap counter so heap
 // and ladder see identical schedules.
@@ -56,10 +57,43 @@ func holdOps(q holdCalendar, seq *uint64, k int) {
 	}
 }
 
+// holdFixedDelays are the fixed-delay case's increments: the model's
+// hop and startup delays and the running instant, one lane each.
+var holdFixedDelays = [4]Time{0.003, 0.003, 1.5, 0}
+
+// holdFixed is the fixed-delay case's record: when it fires it
+// schedules its replacement at the next fixed delay, through
+// AfterCall as the network does, so the pushes take the calendar's
+// FIFO lanes.
+func holdFixed(s *Simulator, _ any) {
+	s.AfterCall(holdFixedDelays[s.Fired()%uint64(len(holdFixedDelays))], holdFixed, nil)
+}
+
+// holdSim prefills a Simulator with n holdFixed records at random
+// times (those go to the ladder, which drains as the lanes fill).
+func holdSim(n int) *Simulator {
+	s := New()
+	rng := xorshift64(2005)
+	for i := 0; i < n; i++ {
+		s.AtCall(rng.float01()*4, holdFixed, nil)
+	}
+	return s
+}
+
+// holdSteps runs k hold operations on s: each Step pops one record,
+// which pushes its replacement.
+func holdSteps(s *Simulator, k int) {
+	for i := 0; i < k; i++ {
+		s.Step()
+	}
+}
+
 // BenchmarkHold measures steady-state push+pop cost per event for the
 // heap and ladder calendars at the paper workloads' pending sizes
 // (10² is an uncontended broadcast, 10³–10⁴ the saturation studies)
 // plus 10⁵ as the scaling stress the heap's O(log n) sift feels most.
+// The fixed-delay case runs the hold model through a Simulator whose
+// every push is one of the model's fixed delays: the calendar's lanes.
 func BenchmarkHold(b *testing.B) {
 	for _, kind := range holdKinds {
 		for _, n := range []int{100, 10000, 100000} {
@@ -71,6 +105,15 @@ func BenchmarkHold(b *testing.B) {
 				holdOps(q, &seq, b.N)
 			})
 		}
+	}
+	for _, n := range []int{100, 10000, 100000} {
+		b.Run(fmt.Sprintf("fixed-delay/n=%d", n), func(b *testing.B) {
+			s := holdSim(n)
+			holdSteps(s, 2*n) // drain the random prefill into the lanes
+			b.ReportAllocs()
+			b.ResetTimer()
+			holdSteps(s, b.N)
+		})
 	}
 }
 
@@ -91,4 +134,11 @@ func TestHoldSteadyStateAllocationFree(t *testing.T) {
 			}
 		})
 	}
+	t.Run("fixed-delay", func(t *testing.T) {
+		s := holdSim(10000)
+		holdSteps(s, 30000)
+		if avg := testing.AllocsPerRun(50, func() { holdSteps(s, 200) }); avg != 0 {
+			t.Errorf("fixed-delay hold allocates %v per 200 warm ops, want 0", avg)
+		}
+	})
 }

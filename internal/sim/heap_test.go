@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // eventQueue is a binary min-heap ordered by (due, seq): the reference
 // oracle the ladder calendar and the simulator's batched drain loop
 // are checked against. It is the simplest correct calendar — every
@@ -92,13 +94,30 @@ func (h *heapSim) After(d Time, f func()) {
 	h.seq++
 }
 
+func (h *heapSim) At(t Time, f func()) {
+	h.q.push(event{due: t, seq: h.seq, arg: f})
+	h.seq++
+}
+
 func (h *heapSim) Stop() { h.stopped = true }
 
-func (h *heapSim) run() {
-	for !h.stopped && h.q.Len() > 0 {
+func (h *heapSim) run() { h.runUntil(math.Inf(1)) }
+
+// runUntil is RunUntil's contract on the oracle: run every record due
+// at or before horizon, then move the clock to horizon unless the
+// calendar emptied or the run was stopped.
+func (h *heapSim) runUntil(horizon Time) error {
+	for !h.stopped && h.q.Len() > 0 && h.q.peek().due <= horizon {
 		e := h.q.pop()
 		h.now = e.due
 		h.fired++
 		e.arg.(func())()
 	}
+	if h.q.Len() == 0 {
+		return ErrStalled
+	}
+	if !h.stopped {
+		h.now = horizon
+	}
+	return nil
 }

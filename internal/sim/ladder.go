@@ -5,9 +5,14 @@ import (
 	"slices"
 )
 
-// ladderQueue is a ladder queue (multi-tier calendar queue): the
-// simulator's event calendar, a priority queue over (due, seq) with
-// amortized-O(1) scheduling where a binary heap pays an O(log n) sift.
+// ladderQueue is a ladder queue (multi-tier calendar queue) over
+// (due, seq): the general-purpose half of the simulator's calendar.
+// The calendar (calendar.go) sends the model's constant-delay pushes
+// to its FIFO lanes; what reaches the ladder is the residual — records
+// whose delay varies, such as a worm's drain tails and the workloads'
+// own closures — plus any lane push that would have broken its lane's
+// order. The ladder also owns the arena every record, lane or ladder,
+// lives in.
 //
 // Events live in one of three tiers:
 //
@@ -28,19 +33,12 @@ import (
 // rungs or bottom. Top and bucket membership is link surgery through
 // the arena; no event data is copied when a tier subdivides. The
 // arena is the queue's only growing allocation (high-water = peak
-// pending, as for a heap's backing array), and freed slots
-// are reused LIFO so the hot working set stays cache-resident — a
-// simulator is created per study, so per-instance warm-up cost
-// matters as much as steady state.
+// pending, as for a heap's backing array), and freed slots are reused
+// LIFO so the hot working set stays cache-resident.
 //
 // Sorting is deferred until a bucket becomes the working window, and
-// is skipped when the bucket drains already in (due, seq) order —
-// which it does for the workload's same-instant bursts: wormhole hop
-// timing schedules whole wavefronts of events at identical
-// now+hopDelay instants, and because seq is assigned in push order, a
-// bucket holding one instant is born sorted. A heap would pay a full
-// O(log n) sift for every one of those events; the ladder absorbs the
-// burst with O(1) appends and one linear drain.
+// is skipped when the bucket drains already in (due, seq) order, as a
+// bucket holding one instant does: seq is assigned in push order.
 //
 // Execution order is bit-for-bit that of a binary heap over (due,
 // seq) — the reference oracle the tests drain it against: ties are
@@ -49,7 +47,7 @@ import (
 // never reorder two events — a monotone map keeps earlier-due events
 // in earlier-or-equal buckets, and equal dues always share a bucket.
 type ladderQueue struct {
-	n int // total pending events across all tiers
+	n int // pending records in the ladder's tiers (lane records are not counted)
 
 	// nodes is the arena: slot i holds an event's scalar ordering
 	// data, FIFO link, and action record in one 48-byte entry, so a
@@ -74,26 +72,16 @@ type ladderQueue struct {
 	top      bucketList
 	topLen   int
 	topStart Time
-
-	// Same-instant placement cache: the workload pushes long runs of
-	// events at one instant (a broadcast wavefront all scheduling
-	// now+hopDelay), and equal dues always map to the same bucket, so
-	// after the first of a run the rung scan and its divisions are
-	// skipped. gen invalidates the cache whenever the rung stack
-	// changes shape (spawn, drain, top conversion); a consumed bucket
-	// is caught by the cur check on use.
-	lastDue  Time
-	lastRung *rung
-	lastBkt  int32
-	gen      uint32
-	lastGen  uint32
 }
 
 // Tuning constants, sized for the study workloads: peak pending is on
 // the order of 10³ events (so rungs stay shallow) and bottom batches
 // average a few dozen events. Buckets per rung is deliberately small —
-// every bucket slot that warms up is per-simulator state, and
-// simulators are created per study.
+// every bucket slot that warms up is per-simulator state. With the
+// lanes in front, the residual's out-of-order inserts mostly land in
+// a bottom of 32–255 live records; spilling it at 32 or 64 instead of
+// 512 trades those memmoves for as much refill sorting (saturation
+// benchmark, no measurable difference), so the budget stays.
 const (
 	ladderBuckets   = 16  // buckets per rung
 	ladderThreshold = 96  // bucket size at or below which it is sorted into bottom
@@ -164,8 +152,11 @@ func (q *ladderQueue) reset() {
 	q.nodes, q.bottom, q.rungs = nodes, bottom, rungs
 }
 
-// alloc claims an arena slot for e and returns its index.
-func (q *ladderQueue) alloc(e event) int32 {
+// alloc claims an arena slot for the record (due, seq, fn, arg) and
+// returns its index. The record travels as separate arguments, not as
+// an event value: the slot is then written straight from registers,
+// without a copy through the stack.
+func (q *ladderQueue) alloc(due Time, seq uint64, fn Func, arg any) int32 {
 	i := q.free
 	if i >= 0 {
 		q.free = q.nodes[i].next
@@ -181,7 +172,10 @@ func (q *ladderQueue) alloc(e event) int32 {
 		q.nodes = append(q.nodes, arenaSlot{})
 		i = int32(len(q.nodes) - 1)
 	}
-	q.nodes[i] = arenaSlot{due: e.due, seq: e.seq, next: nilIdx, fn: e.fn, arg: e.arg}
+	// Field by field: a composite literal is built on the stack and
+	// copied in wide moves that stall on store forwarding.
+	nd := &q.nodes[i]
+	nd.due, nd.seq, nd.next, nd.fn, nd.arg = due, seq, nilIdx, fn, arg
 	return i
 }
 
@@ -199,23 +193,18 @@ func (q *ladderQueue) link(l *bucketList, i int32) {
 	l.tail = i
 }
 
-func (q *ladderQueue) push(e event) {
+func (q *ladderQueue) push(e event) { q.insert(e.due, e.seq, e.fn, e.arg) }
+
+// insert is push with the record passed field by field (see alloc).
+func (q *ladderQueue) insert(due Time, seq uint64, fn Func, arg any) {
 	q.n++
-	i := q.alloc(e)
-	if e.due >= q.topStart {
+	i := q.alloc(due, seq, fn, arg)
+	if due >= q.topStart {
 		q.link(&q.top, i)
 		q.topLen++
 		return
 	}
-	if e.due == q.lastDue && q.lastGen == q.gen {
-		if r := q.lastRung; r != nil && int(q.lastBkt) >= r.cur {
-			q.link(&r.bkt[q.lastBkt], i)
-			r.blen[q.lastBkt]++
-			r.count++
-			return
-		}
-	}
-	q.route(i, e.due)
+	q.route(i, due)
 }
 
 // route places slot i (due before topStart) into the outermost rung
@@ -241,7 +230,6 @@ func (q *ladderQueue) route(i int32, due Time) {
 		q.link(&r.bkt[b], i)
 		r.blen[b]++
 		r.count++
-		q.lastDue, q.lastRung, q.lastBkt, q.lastGen = due, r, int32(b), q.gen
 		return
 	}
 	nd := &q.nodes[i]
@@ -333,7 +321,6 @@ func (q *ladderQueue) spawnRung(minD, maxD Time) *rung {
 		q.rungs = append(q.rungs, r)
 	}
 	q.active++
-	q.gen++
 	r.start, r.width, r.cur, r.count = minD, w, 0, 0
 	for i := range r.bkt {
 		r.bkt[i] = bucketList{head: nilIdx, tail: nilIdx}
@@ -437,7 +424,6 @@ func (q *ladderQueue) refill() {
 			r := q.rungs[q.active-1]
 			if r.count == 0 {
 				q.active-- // drained; keep the rung allocated for reuse
-				q.gen++
 				continue
 			}
 			for r.bkt[r.cur].head < 0 {
@@ -465,7 +451,6 @@ func (q *ladderQueue) refill() {
 		q.topStart = maxD
 		q.top = bucketList{head: nilIdx, tail: nilIdx}
 		q.topLen = 0
-		q.gen++
 		if cnt > ladderThreshold && q.subdivide(head, minD, maxD) {
 			continue
 		}
@@ -481,36 +466,36 @@ func (q *ladderQueue) pop() event {
 	if q.botIdx == len(q.bottom) {
 		q.refill()
 	}
-	it := q.bottom[q.botIdx]
+	i := q.bottom[q.botIdx].ref
 	q.botIdx++
 	q.n--
-	i := it.ref
+	return q.take(i)
+}
+
+// take returns the record in arena slot i and frees the slot. The
+// caller has already unlinked it from its tier.
+func (q *ladderQueue) take(i int32) event {
 	nd := &q.nodes[i]
-	e := event{due: it.due, seq: it.seq, fn: nd.fn, arg: nd.arg}
+	e := event{due: nd.due, seq: nd.seq, fn: nd.fn, arg: nd.arg}
 	nd.fn, nd.arg = nil, nil // release the record's arg reference
 	nd.next = q.free
 	q.free = i
 	return e
 }
 
-// popWavefront appends to dst the maximal front run of events that
-// share the earliest due time and removes them from the calendar, in
-// one sweep of the bottom window. The run comes back in (due, seq)
-// order — exactly the order repeated pop calls would yield — and as
-// copies, never views into calendar storage; dst is caller-owned
-// scratch. This is where batching pays: the refill
-// check, cursor advance and free-list bookkeeping are done once per
-// run instead of once per event, and the run is read straight out of
-// the already-sorted bottom span.
+// popWavefront appends to dst the front run of events that share the
+// earliest due time and removes them from the queue, in one sweep of
+// the bottom window, in (due, seq) order — exactly the order repeated
+// pop calls would yield — and as copies, never views into queue
+// storage; dst is caller-owned scratch. The refill check and cursor
+// advance are done once per run instead of once per event.
 //
-// The run never needs to look past bottom: equal dues always route to
-// the same bucket and drain together, so when bottom's front holds
-// due T every pending due-T event is already in bottom — any due-T
-// event still in top was pushed after topStart rose past T and
-// carries a larger seq, and events pushed during the caller's batch
-// carry larger seqs still. If a run is ever split by an exhausted
-// bottom, the next call simply returns the remainder; a wavefront is
-// an optimization batch, not a semantic unit.
+// A run can end before the instant does: a due-T event pushed after
+// topStart rose to T lands in top, behind the bottom run, and a
+// later call returns it. Its seq is larger than the run's, so
+// repeated calls still yield pop order; a caller merging other
+// sources at T (the calendar's lanes) must keep taking runs while the
+// head is still due at T.
 func (q *ladderQueue) popWavefront(dst []event) []event {
 	if q.n == 0 {
 		panic("sim: pop from empty calendar")
@@ -518,21 +503,23 @@ func (q *ladderQueue) popWavefront(dst []event) []event {
 	if q.botIdx == len(q.bottom) {
 		q.refill()
 	}
-	due := q.bottom[q.botIdx].due
-	end := q.botIdx + 1
-	for end < len(q.bottom) && q.bottom[end].due == due {
-		end++
-	}
-	for k := q.botIdx; k < end; k++ {
+	return q.takeRun(dst, q.bottom[q.botIdx].due, math.MaxUint64)
+}
+
+// takeRun appends the bottom window's front events due at t with seq
+// below limit and removes them. Caller guarantees bottom is not
+// exhausted.
+func (q *ladderQueue) takeRun(dst []event, t Time, limit uint64) []event {
+	k := q.botIdx
+	for ; k < len(q.bottom); k++ {
 		it := q.bottom[k]
-		nd := &q.nodes[it.ref]
-		dst = append(dst, event{due: it.due, seq: it.seq, fn: nd.fn, arg: nd.arg})
-		nd.fn, nd.arg = nil, nil // release the record's arg reference
-		nd.next = q.free
-		q.free = it.ref
+		if it.due != t || it.seq >= limit {
+			break
+		}
+		dst = append(dst, q.take(it.ref))
 	}
-	q.n -= end - q.botIdx
-	q.botIdx = end
+	q.n -= k - q.botIdx
+	q.botIdx = k
 	return dst
 }
 

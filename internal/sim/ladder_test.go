@@ -416,7 +416,7 @@ func TestResetMatchesNew(t *testing.T) {
 			t.Fatalf("reset simulator: now=%v fired=%d pending=%d stopped=%v %+v",
 				s.Now(), s.Fired(), s.Pending(), s.Stopped(), s.WavefrontStats())
 		}
-		for i, nd := range s.queue.nodes[:cap(s.queue.nodes)] {
+		for i, nd := range s.queue.lq.nodes[:cap(s.queue.lq.nodes)] {
 			if nd.fn != nil || nd.arg != nil {
 				t.Fatalf("arena slot %d still holds a discarded record", i)
 			}

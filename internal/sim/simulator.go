@@ -29,7 +29,7 @@ var ErrStalled = errors.New("sim: event calendar empty before horizon")
 // The zero value is not usable; call New.
 type Simulator struct {
 	now     Time
-	queue   *ladderQueue
+	queue   *calendar
 	nextSeq uint64
 	fired   uint64
 	stopped bool
@@ -41,12 +41,12 @@ type Simulator struct {
 
 // New returns an empty simulator with the clock at zero.
 func New() *Simulator {
-	return &Simulator{queue: newLadderQueue()}
+	return &Simulator{queue: newCalendar()}
 }
 
 // Reset returns s to the state New leaves it in, discarding pending
-// events but keeping the calendar's storage: event order depends only
-// on (due, seq), never on that storage.
+// events and lane claims but keeping the calendar's storage: event
+// order depends only on (due, seq), never on that storage.
 func (s *Simulator) Reset() {
 	s.queue.reset()
 	*s = Simulator{queue: s.queue, wfBuf: s.wfBuf}
@@ -100,6 +100,16 @@ func (s *Simulator) After(delay Time, action Action) {
 // fn is a prebuilt function (not a closure) and arg carries its
 // state, typically a pointer into the caller's pooled objects.
 func (s *Simulator) AtCall(t Time, fn Func, arg any) {
+	lane := noLane
+	if t == s.now {
+		lane = 0
+	}
+	s.schedule(t, lane, fn, arg)
+}
+
+// schedule checks and pushes a record due at t onto calendar lane
+// lane (noLane: the ladder).
+func (s *Simulator) schedule(t Time, lane int, fn Func, arg any) {
 	if fn == nil {
 		panic("sim: nil event function scheduled")
 	}
@@ -115,17 +125,18 @@ func (s *Simulator) AtCall(t Time, fn Func, arg any) {
 	if math.IsNaN(t) {
 		panic("sim: scheduling at NaN")
 	}
-	s.queue.push(event{due: t, seq: s.nextSeq, fn: fn, arg: arg})
+	s.queue.push(lane, t, s.nextSeq, fn, arg)
 	s.nextSeq++
 }
 
 // AfterCall schedules the action record (fn, arg) to run delay time
-// units from now.
+// units from now. A model's few fixed delays each get a calendar lane
+// of their own, so this is the cheapest way to schedule a record.
 func (s *Simulator) AfterCall(delay Time, fn Func, arg any) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	s.AtCall(s.now+delay, fn, arg)
+	s.schedule(s.now+delay, s.queue.laneFor(delay), fn, arg)
 }
 
 // Pending reports the number of events waiting on the calendar.
@@ -202,7 +213,7 @@ func (s *Simulator) drain(horizon Time) {
 				// so Pending matches the Step loop. A stopped simulator
 				// never pops again, so only the count matters.
 				for _, e := range wf[k:] {
-					s.queue.push(e)
+					s.queue.push(noLane, e.due, e.seq, e.fn, e.arg)
 				}
 				break
 			}

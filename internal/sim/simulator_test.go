@@ -258,8 +258,9 @@ func TestNilFuncPanics(t *testing.T) {
 // hot path relies on: scheduling a prebuilt record costs zero
 // allocations once the calendar's backing storage is warm — the
 // ladder's arena and tier slices have reached their high-water marks.
-// Both drains are covered: Step and Run's batched loop. The subtest
-// is named for the calendar under test.
+// Both drains are covered: Step and Run's batched loop. The subtests
+// are named for the part of the calendar under test: the ladder
+// alone, and the FIFO delay lanes mixed with it.
 func TestScheduleIsAllocationFree(t *testing.T) {
 	t.Run("ladder", func(t *testing.T) {
 		s := New()
@@ -282,6 +283,42 @@ func TestScheduleIsAllocationFree(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Errorf("AtCall allocates %v per 64-event round, want 0", avg)
+		}
+	})
+	t.Run("lanes", func(t *testing.T) {
+		// Lane pushes (two fixed AfterCall delays, AtCall and At at the
+		// running instant) mixed with ladder pushes, drained by Step and
+		// by Run: records of both kinds share each instant, so batches
+		// merge the lanes with the ladder.
+		s := New()
+		noop := func(*Simulator, any) {}
+		var now Action = func() {}
+		round := func() {
+			for i := 0; i < 8; i++ {
+				s.AfterCall(0.5, noop, s)
+				s.AfterCall(1.5, noop, s)
+				s.AtCall(s.Now(), noop, s)
+				s.At(s.Now(), now)
+				s.AtCall(s.Now()+0.5, noop, s)
+				s.AtCall(s.Now()+1.5, noop, s)
+			}
+		}
+		for i := 0; i < 4; i++ { // warm the arena and the ladder's tiers
+			round()
+			s.Run()
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			round()
+			for s.Step() {
+			}
+			round()
+			s.Run()
+		})
+		if avg != 0 {
+			t.Errorf("lane and ladder scheduling allocates %v per 96-event round, want 0", avg)
+		}
+		if st := s.WavefrontStats(); st.Events <= st.Batches {
+			t.Fatalf("Run drained %d records in %d batches: no merged batch formed", st.Events, st.Batches)
 		}
 	})
 }
