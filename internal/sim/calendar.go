@@ -158,18 +158,6 @@ func (c *calendar) pop() event {
 	return c.lq.take(i)
 }
 
-func (c *calendar) peek() event {
-	if c.n == 0 {
-		panic("sim: peek at empty calendar")
-	}
-	k, _ := c.first()
-	if k == ladderSrc {
-		return c.lq.peek()
-	}
-	nd := &c.lq.nodes[c.lanes[k].head]
-	return event{due: nd.due, seq: nd.seq, fn: nd.fn, arg: nd.arg}
-}
-
 // popWavefront appends to dst every record due at the earliest
 // pending instant, in seq order, and removes them from the calendar —
 // exactly what repeated pop calls would yield while the front due

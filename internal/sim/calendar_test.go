@@ -207,8 +207,9 @@ func TestLanesMatchHeapQuick(t *testing.T) {
 // TestLanePlacementNeverReordersQuick drives the calendar directly:
 // every push names a lane (or the ladder) at random, whatever its due,
 // so lane pushes land behind a later tail as often as not. The tail
-// guard must send those to the ladder, and pop, peek and popWavefront
-// must still drain in the heap oracle's order.
+// guard must send those to the ladder, and pop and popWavefront must
+// still drain in the heap oracle's order, with first reporting the
+// front due.
 func TestLanePlacementNeverReordersQuick(t *testing.T) {
 	f := func(ops []uint16) bool {
 		c, heap := newCalendar(), &eventQueue{}
@@ -234,7 +235,7 @@ func TestLanePlacementNeverReordersQuick(t *testing.T) {
 				if heap.Len() == 0 {
 					continue
 				}
-				if p := c.peek(); p.due != heap.peek().due || p.seq != heap.peek().seq {
+				if _, due := c.first(); due != heap.peek().due {
 					return false
 				}
 				he, ce := heap.pop(), c.pop()

@@ -198,8 +198,10 @@ func (s *Simulator) drain(horizon Time) {
 	// drain hands control back.
 	defer func() { clear(s.wfBuf[:cap(s.wfBuf)]) }()
 	for !s.stopped && s.queue.n > 0 {
-		if bounded && s.queue.peek().due > horizon {
-			return
+		if bounded {
+			if _, due := s.queue.first(); due > horizon {
+				return
+			}
 		}
 		wf := s.queue.popWavefront(s.wfBuf[:0])
 		n := len(wf)
