@@ -1,8 +1,11 @@
 package metrics
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/broadcast"
+	"repro/internal/fault"
 	"repro/internal/topology"
 )
 
@@ -31,6 +34,43 @@ func TestSaturationCounters(t *testing.T) {
 		if st.Events != w.fired || st.Records != w.records {
 			t.Errorf("%s: %d model events and %d calendar records, want %d and %d",
 				algo.Name(), st.Events, st.Records, w.fired, w.records)
+		}
+	}
+}
+
+// TestDegradedCounters pins the same counters, plus the drop count,
+// for the fault family's study: RD and AB on 8×8×8 at seed 2005 with
+// the saturation workload, pristine and with 16 failed links. They
+// must not move when a faulted study's setup (its network, fault
+// plan or broadcast plans) is shared or recycled.
+func TestDegradedCounters(t *testing.T) {
+	want := map[string]struct{ fired, records, dropped uint64 }{
+		"RD/0":  {172320, 111000, 0},
+		"RD/16": {155738, 100502, 165},
+		"AB/0":  {67790, 44990, 0},
+		"AB/16": {53058, 37018, 200},
+	}
+	m := topology.NewMesh(SaturationDims()...)
+	sat := SaturationConfig(2005)
+	for _, algo := range []broadcast.Algorithm{broadcast.NewRD(), broadcast.NewAB()} {
+		for _, links := range []int{0, 16} {
+			plan, err := fault.RandomLinks(m, 2005, links, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := DegradedStudy(m, algo, DegradedConfig{
+				Net: sat.Net, Length: sat.Length, Broadcasts: sat.Broadcasts,
+				Interarrival: sat.Interarrival, Seed: sat.Seed, Faults: plan,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := fmt.Sprintf("%s/%d", algo.Name(), links)
+			w := want[key]
+			if st.Events != w.fired || st.Records != w.records || st.Dropped != w.dropped {
+				t.Errorf("%s: %d model events, %d calendar records and %d drops, want %d, %d and %d",
+					key, st.Events, st.Records, st.Dropped, w.fired, w.records, w.dropped)
+			}
 		}
 	}
 }

@@ -64,8 +64,11 @@ type DegradationStats struct {
 	CV stats.Accumulator
 	// Dropped counts worms the network aborted on dead resources.
 	Dropped uint64
-	// Events and SimulatedTime describe the run's calendar.
+	// Events, Records and SimulatedTime describe the run's calendar:
+	// model events fired, calendar records drained (as in
+	// SingleSourceStats) and the clock at the end.
 	Events        uint64
+	Records       uint64
 	SimulatedTime sim.Time
 }
 
@@ -151,6 +154,7 @@ func DegradedStudy(m *topology.Mesh, algo broadcast.Algorithm, cfg DegradedConfi
 
 	s.Run()
 	out.Events = s.Fired()
+	out.Records = s.WavefrontStats().Events
 	out.SimulatedTime = s.Now()
 	out.Dropped = net.Dropped()
 	dests := float64(m.Nodes() - 1)
