@@ -13,6 +13,7 @@ package broadcast
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/topology"
@@ -122,6 +123,52 @@ func PlanCached(m *topology.Mesh, algo Algorithm, src topology.NodeID) (*Plan, e
 	if err := p.Validate(m); err != nil {
 		return nil, err
 	}
+	return p, nil
+}
+
+// Memo shares the plans of one run among its simulations: the paired
+// cells of a fault sweep replay the same sources at every fault level.
+// Plans from PlanCached are indexed, so they are shared read-only. A
+// Memo never evicts, so it lives for one run, not a process. The zero
+// Memo is empty and safe for concurrent use.
+type Memo struct {
+	mu    sync.Mutex
+	plans map[memoKey]*Plan
+}
+
+type memoKey struct {
+	m    *topology.Mesh
+	algo string
+	src  topology.NodeID
+}
+
+// Plan returns PlanCached(m, algo, src), built once per memo; a nil
+// memo plans afresh on every call. Two goroutines that miss on one key
+// at once both plan it, and both get the first plan stored.
+func (memo *Memo) Plan(m *topology.Mesh, algo Algorithm, src topology.NodeID) (*Plan, error) {
+	if memo == nil {
+		return PlanCached(m, algo, src)
+	}
+	k := memoKey{m, algo.Name(), src}
+	memo.mu.Lock()
+	p := memo.plans[k]
+	memo.mu.Unlock()
+	if p != nil {
+		return p, nil
+	}
+	p, err := PlanCached(m, algo, src)
+	if err != nil {
+		return nil, err
+	}
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	if q := memo.plans[k]; q != nil {
+		return q, nil
+	}
+	if memo.plans == nil {
+		memo.plans = make(map[memoKey]*Plan)
+	}
+	memo.plans[k] = p
 	return p, nil
 }
 

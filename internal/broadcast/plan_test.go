@@ -1,6 +1,8 @@
 package broadcast
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/network"
@@ -147,5 +149,60 @@ func TestExecuteCoversEveryNode(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMemoSharesPlans: goroutines asking one memo for the same (mesh,
+// algorithm, source) all get one plan, equal to PlanCached's; other
+// meshes, algorithms and sources get their own; a nil memo plans
+// afresh. Run with -race: the memo is shared by a run's workers.
+func TestMemoSharesPlans(t *testing.T) {
+	mesh, torus := topology.NewMesh(4, 4, 4), topology.NewTorus(4, 4, 4)
+	algos := []Algorithm{NewRD(), NewAB()}
+	var memo Memo
+	const workers, srcs = 4, 8
+	got := make([][]*Plan, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 2*len(algos)*srcs; k++ {
+				m := []*topology.Mesh{mesh, torus}[k/(len(algos)*srcs)]
+				p, err := memo.Plan(m, algos[k/srcs%len(algos)], topology.NodeID(k%srcs))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g] = append(got[g], p)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[*Plan]bool)
+	for k, p := range got[0] {
+		m := []*topology.Mesh{mesh, torus}[k/(len(algos)*srcs)]
+		want, err := PlanCached(m, algos[k/srcs%len(algos)], topology.NodeID(k%srcs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p, want) {
+			t.Errorf("key %d: memoized plan differs from PlanCached's", k)
+		}
+		if seen[p] {
+			t.Errorf("key %d: plan shared with another key", k)
+		}
+		seen[p] = true
+		for g := 1; g < workers; g++ {
+			if got[g][k] != p {
+				t.Errorf("key %d: goroutine %d got another plan", k, g)
+			}
+		}
+	}
+	var none *Memo
+	a, _ := none.Plan(mesh, algos[0], 0)
+	b, _ := none.Plan(mesh, algos[0], 0)
+	if a == b {
+		t.Error("a nil memo shared a plan")
 	}
 }

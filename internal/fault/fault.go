@@ -105,8 +105,8 @@ func (p *Plan) Validate(topo topology.Topology) error {
 	return nil
 }
 
-// applied carries one scheduled event to its firing; the records are
-// built once at Apply time, so firing allocates nothing.
+// applied carries one scheduled event to its firing; Apply builds the
+// records in one slice, so firing allocates nothing.
 type applied struct {
 	n *network.Network
 	e Event
@@ -138,13 +138,14 @@ func (p *Plan) Apply(n *network.Network) error {
 		return err
 	}
 	s := n.Sim()
-	for i := range p.Events {
-		e := p.Events[i]
+	recs := make([]applied, len(p.Events))
+	for i, e := range p.Events {
 		if e.At < s.Now() {
 			return fmt.Errorf("fault: event %d (%s) at %g is in the simulator's past (now %g)",
 				i, e.Kind, e.At, s.Now())
 		}
-		s.AtCall(e.At, fire, &applied{n: n, e: e})
+		recs[i] = applied{n: n, e: e}
+		s.AtCall(e.At, fire, &recs[i])
 	}
 	return nil
 }

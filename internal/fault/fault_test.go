@@ -168,6 +168,28 @@ func TestApplySchedulesThroughCalendar(t *testing.T) {
 	}
 }
 
+// TestApplyAllocatesOnce: Apply builds every event's firing record in
+// one allocation, however many events the plan holds (64 failed links
+// are 128 events), once the calendar has grown to fit them.
+func TestApplyAllocatesOnce(t *testing.T) {
+	s := sim.New()
+	m := topology.NewMesh(8, 8, 8)
+	n := network.MustNew(s, m, network.DefaultConfig())
+	p, err := RandomLinks(m, 2005, 64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		s.Reset()
+		if err := p.Apply(n); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("Apply of %d events made %v allocations, want 1", len(p.Events), allocs)
+	}
+}
+
 // TestEmptyPlanLeavesNetworkPristine: applying an empty plan must not
 // engage the network's fault machinery at all (the golden identity
 // tests depend on this being a guaranteed no-op).

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/broadcast"
+	"repro/internal/fault"
 	"repro/internal/network"
 	"repro/internal/topology"
 )
@@ -82,14 +83,52 @@ func TestSaturationStudyAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestFaultedStudyAllocationBudget pins the warm cost of one faulted
+// study as a fault-family cell runs it: RD's saturation workload on
+// 8×8×8 with 8 failed links, its broadcast plans taken from a memo the
+// warm-up filled. What is left is the results, closures and fault
+// records, but no network: a faulted network is recycled like any
+// other, and one built per study (about 350 KB) breaks the bytes
+// ceiling at once.
+func TestFaultedStudyAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random quarter of its Puts under -race, so warm networks are rebuilt")
+	}
+	m := topology.NewMesh(SaturationDims()...)
+	plan, err := fault.RandomLinks(m, 2005, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sat := SaturationConfig(2005)
+	cfg := DegradedConfig{
+		Net: sat.Net, Length: sat.Length, Broadcasts: sat.Broadcasts,
+		Interarrival: sat.Interarrival, Seed: sat.Seed, Faults: plan,
+		Plans: &broadcast.Memo{},
+	}
+	allocs, bytes := warmCost(2, 10, func() {
+		if _, err := DegradedStudy(m, broadcast.NewRD(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warm faulted study: %.0f allocs, %.0f bytes", allocs, bytes)
+	const maxAllocs, maxBytes = faultedStudyAllocs, faultedStudyBytes
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("warm faulted study costs %.0f allocs and %.0f bytes, budget %d and %d", allocs, bytes, maxAllocs, maxBytes)
+	}
+}
+
 // The ceilings sit about a third above the warm costs measured on
 // linux/amd64 with Go 1.24 (RunSingle bundle about 520 allocs and
-// 1.5 MB, saturation bundle about 3,700 allocs and 6.2 MB). With a
-// fresh network per run and the process-wide plan cache, the same
-// bundles cost 11,924 allocs and 12.3 MB, and 5,984 allocs and 8.2 MB.
+// 1.5 MB, saturation bundle about 3,700 allocs and 6.2 MB, faulted
+// study about 410 allocs and 200 KB). With a fresh network per run and
+// the process-wide plan cache, the first two bundles cost 11,924
+// allocs and 12.3 MB, and 5,984 allocs and 8.2 MB; a faulted study
+// whose network is never recycled costs about 1,560 allocs and 3.0 MB.
 const (
 	runSingleBundleAllocs  = 1_000
 	runSingleBundleBytes   = 2_000_000
 	saturationBundleAllocs = 5_000
 	saturationBundleBytes  = 7_000_000
+	faultedStudyAllocs     = 550
+	faultedStudyBytes      = 270_000
 )

@@ -42,6 +42,9 @@ type DegradedConfig struct {
 	// paper default (west-first under AB).
 	Adaptive    routing.Selector
 	AdaptiveSet bool
+	// Plans, when non-nil, shares broadcast plans with the other
+	// studies of one run (see broadcast.Memo); nil plans afresh.
+	Plans *broadcast.Memo
 }
 
 // DegradationStats aggregates a degraded study's per-broadcast
@@ -136,7 +139,7 @@ func DegradedStudy(m *topology.Mesh, algo broadcast.Algorithm, cfg DegradedConfi
 	for i := 0; i < cfg.Broadcasts; i++ {
 		at += rng.Exp(interarrival)
 		src := topology.NodeID(rng.Intn(m.Nodes()))
-		plan, err := broadcast.PlanCached(m, algo, src)
+		plan, err := cfg.Plans.Plan(m, algo, src)
 		if err != nil {
 			return nil, err
 		}

@@ -16,8 +16,8 @@ import (
 // A network handed out by network.Acquire may be recycled from an
 // earlier run. Recycling must be unobservable: the same staggered
 // broadcasts on a fresh network and on one recycled after a different
-// workload (another algorithm, port count, seed and message length)
-// must leave identical arrivals, clocks, event counts, batch census,
+// workload (another algorithm, port count, seed, message length and
+// fault plan) must leave identical arrivals, clocks, event counts, batch census,
 // per-channel occupancy and worm counts, on any topology, either
 // store, pristine or under faults.
 
@@ -41,14 +41,16 @@ func (tw *twin) recycledOutcome() recycledOutcome {
 	return o
 }
 
-// priorWorkload is the different, pristine run the recycled network
-// carries first: the next algorithm the case's dimensionality
-// supports, another seed, fewer and longer messages.
+// priorWorkload is the different run the recycled network carries
+// first: the next algorithm the case's dimensionality supports,
+// another seed, fewer and longer messages, and the complementary
+// faults (4−links failed links, churn flipped), so a pristine case
+// follows a faulted run and a heavily faulted one a pristine run.
 func (c twinCase) priorWorkload() twinCase {
 	p := c
 	p.algoIx = (c.algoIx + 1) % []int{1: 1, 2: 3, 3: 4}[len(c.dims)] // as Generate draws
 	p.seed = ^c.seed
-	p.links, p.churn = 0, false
+	p.links, p.churn = 4-c.links, !c.churn
 	p.broadcasts, p.length = 5, 24
 	return p
 }
@@ -91,13 +93,8 @@ func (c twinCase) freshVsRecycled() (recycled bool, err error) {
 	if r, f := rtw.recycledOutcome(), ftw.recycledOutcome(); !reflect.DeepEqual(r, f) {
 		return recycled, fmt.Errorf("recycled=%v network diverges\nrecycled: %+v\nfresh:    %+v", recycled, r, f)
 	}
-	plan, err := c.faults(m)
-	if err != nil {
-		return recycled, err
-	}
-	faulted := plan != nil
-	if err := net.Reset(); (err != nil) != faulted {
-		return recycled, fmt.Errorf("reset after the case (faulted=%v): %v", faulted, err)
+	if err := net.Reset(); err != nil {
+		return recycled, fmt.Errorf("reset after the case: %v", err)
 	}
 	if err := net.CheckInvariants(); err != nil {
 		return recycled, fmt.Errorf("after the final reset: %v", err)

@@ -1,7 +1,6 @@
 package network
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -44,18 +43,18 @@ func (n *Network) Release() {
 }
 
 // Reset returns a drained network, not its simulator, to the state New
-// leaves it in, keeping grown storage except a lazy store's pages. It
-// refuses, changing nothing, a network with parked or in-flight worms
-// or one that has seen a fault; otherwise it returns CheckInvariants.
+// leaves it in, keeping grown storage except a lazy store's pages and
+// the fault state: every link and node is alive again. It refuses,
+// changing nothing, a network with parked or in-flight worms;
+// otherwise it returns CheckInvariants.
 func (n *Network) Reset() error {
 	switch {
 	case len(n.parked) > 0:
 		return fmt.Errorf("network: reset with %d parked worms", len(n.parked))
 	case n.activeCount > 0:
 		return fmt.Errorf("network: reset with %d worms in flight", n.activeCount)
-	case n.health != nil:
-		return errors.New("network: reset after a fault")
 	}
+	n.health = nil
 	if n.lazy != nil {
 		n.lazy = newLazyStore(n.lanes, n.topo.Nodes())
 	} else {

@@ -136,12 +136,15 @@ func TestAcquireFitsOnlyItsLayout(t *testing.T) {
 }
 
 // TestResetRefuses: Reset leaves a network that is still carrying a
-// run, or has seen a fault, exactly as it was and reports why.
+// run exactly as it was and reports why. A drained network that saw
+// faults is accepted: Reset brings every link and node back up.
 func TestResetRefuses(t *testing.T) {
 	m := topology.NewMesh(4, 1)
 	send := func(n *Network) {
 		n.MustSend(0, &Transfer{Source: m.ID(0, 0), Waypoints: []topology.NodeID{m.ID(3, 0)}, Length: 16})
 	}
+	cfg := DefaultConfig()
+	cfg.DeadWait = 10
 	cases := []struct {
 		name, want string
 		setup      func(*Network)
@@ -159,16 +162,8 @@ func TestResetRefuses(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"applied faults", "fault", func(n *Network) {
-			n.FailLink(m.Channel(m.ID(1, 0), m.ID(2, 0)))
-			n.RestoreLink(m.Channel(m.ID(1, 0), m.ID(2, 0)))
-			send(n)
-			n.sim.Run()
-		}},
 	}
 	for _, c := range cases {
-		cfg := DefaultConfig()
-		cfg.DeadWait = 10
 		n := MustNew(sim.New(), m, cfg)
 		c.setup(n)
 		inj, fin, parked, flight := n.Injected(), n.Finished(), n.Parked(), n.InFlight()
@@ -182,6 +177,38 @@ func TestResetRefuses(t *testing.T) {
 		if err := n.CheckInvariants(); err != nil {
 			t.Errorf("%s: %v", c.name, err)
 		}
+	}
+
+	// Applied faults: one link fails and heals, another stays down and
+	// a node dies, so the worm parks and drops after its grace.
+	n := MustNew(sim.New(), m, cfg)
+	n.FailLink(m.Channel(m.ID(0, 0), m.ID(1, 0)))
+	n.RestoreLink(m.Channel(m.ID(0, 0), m.ID(1, 0)))
+	n.FailLink(m.Channel(m.ID(1, 0), m.ID(2, 0)))
+	n.FailNode(m.ID(3, 0))
+	send(n)
+	n.sim.Run()
+	if n.Dropped() != 1 {
+		t.Fatalf("faulted run dropped %d worms, want 1", n.Dropped())
+	}
+	if err := n.Reset(); err != nil {
+		t.Fatalf("applied faults: Reset refused a drained network: %v", err)
+	}
+	for ch := 0; ch < m.ChannelSlots(); ch++ {
+		if !n.LinkAlive(topology.ChannelID(ch)) {
+			t.Errorf("applied faults: channel %d still down after Reset", ch)
+		}
+	}
+	for id := 0; id < m.Nodes(); id++ {
+		if !n.NodeAlive(topology.NodeID(id)) {
+			t.Errorf("applied faults: node %d still down after Reset", id)
+		}
+	}
+	if n.Dropped() != 0 {
+		t.Errorf("applied faults: Reset left %d drops", n.Dropped())
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Errorf("applied faults: %v", err)
 	}
 }
 

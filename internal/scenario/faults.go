@@ -14,7 +14,8 @@ import (
 )
 
 // FaultSpec declares a scenario's fault injection declaratively; the
-// run loop expands it into a concrete fault.Plan per cell. All
+// run loop expands it into one concrete fault.Plan per distinct mesh
+// and failed-link count, shared by the cells that need it. All
 // randomness derives from (Spec.Seed, FaultSpec.Seed) only — never
 // from the series — so every algorithm and substrate sees the
 // identical fault plan and the comparison is paired.
@@ -121,15 +122,39 @@ func buildTopoKind(kind string, dims []int) *topology.Mesh {
 	return topology.NewMesh(dims...)
 }
 
-// faultedCell runs one degraded study cell: the spec's contended
-// traffic on a network with links failed links (plus the FaultSpec's
-// node faults), under the given substrate when subSet.
-func (s *Spec) faultedCell(m *topology.Mesh, algo broadcast.Algorithm, gap float64,
-	vcs, links int, sub string, subSet bool) (*metrics.DegradationStats, error) {
-	plan, err := s.Faults.plan(m, s.Seed, links)
-	if err != nil {
-		return nil, err
+// faultKey names one distinct fault plan of a run.
+type faultKey struct {
+	m     *topology.Mesh
+	links int
+}
+
+// faultPlans returns the fault plan of each of n cells, cell k running
+// on cell(k)'s mesh with cell(k)'s failed-link count. Each distinct
+// plan is built once, before the cells fan out, and the cells share it
+// read-only: Plan.Apply does not mutate a plan.
+func (s *Spec) faultPlans(n int, cell func(k int) (*topology.Mesh, int)) ([]*fault.Plan, error) {
+	built := make(map[faultKey]*fault.Plan)
+	out := make([]*fault.Plan, n)
+	for k := range out {
+		m, links := cell(k)
+		p, ok := built[faultKey{m, links}]
+		if !ok {
+			var err error
+			if p, err = s.Faults.plan(m, s.Seed, links); err != nil {
+				return nil, fmt.Errorf("%s on %s at %d failed links: %w", s.Name, m.Name(), links, err)
+			}
+			built[faultKey{m, links}] = p
+		}
+		out[k] = p
 	}
+	return out, nil
+}
+
+// faultedCell runs one degraded study cell: the spec's contended
+// traffic on a network degraded by plan, under the given substrate
+// when subSet, taking its broadcast plans from the run's memo.
+func (s *Spec) faultedCell(m *topology.Mesh, algo broadcast.Algorithm, gap float64,
+	vcs int, plan *fault.Plan, memo *broadcast.Memo, sub string, subSet bool) (*metrics.DegradationStats, error) {
 	ncfg := s.netConfig()
 	ncfg.VCs = vcs
 	if s.Faults != nil {
@@ -145,6 +170,7 @@ func (s *Spec) faultedCell(m *topology.Mesh, algo broadcast.Algorithm, gap float
 		Interarrival: gap,
 		Seed:         s.Seed,
 		Faults:       plan,
+		Plans:        memo,
 	}
 	if subSet {
 		dcfg.Adaptive, dcfg.AdaptiveSet = substrateFor(sub, m), true
@@ -229,11 +255,16 @@ func runFaults(ctx context.Context, s *Spec, algos []broadcast.Algorithm, res *R
 	xs := s.Xs
 	nx := len(xs)
 	cells := len(series) * nx
+	plans, err := s.faultPlans(cells, func(k int) (*topology.Mesh, int) { return series[k/nx].m, int(xs[k%nx]) })
+	if err != nil {
+		return err
+	}
+	memo := &broadcast.Memo{}
 	p := s.pool(cells)
 	grid, err := runner.MapCtx(ctx, p, cells, func(k int) (*metrics.DegradationStats, error) {
 		se := series[k/nx]
 		x := xs[k%nx]
-		st, err := s.faultedCell(se.m, se.algo, s.Interarrival, se.vcs, int(x), se.sub, se.subSet)
+		st, err := s.faultedCell(se.m, se.algo, s.Interarrival, se.vcs, plans[k], memo, se.sub, se.subSet)
 		if err != nil {
 			return nil, fmt.Errorf("%s %s on %s at %g failed links: %w", s.Name, se.label, se.m.Name(), x, err)
 		}
@@ -256,7 +287,7 @@ func runFaults(ctx context.Context, s *Spec, algos []broadcast.Algorithm, res *R
 
 // runContendedFaulted executes a contended sweep (size, interarrival
 // or VCs axis) with a fixed active fault set applied to every cell —
-// the -faults CLI path. The fault plan is rebuilt per topology so a
+// the -faults CLI path. The fault plan is built per topology so a
 // size sweep fails Links links of each shape.
 func runContendedFaulted(ctx context.Context, s *Spec, algos []broadcast.Algorithm, res *Result) error {
 	topos, xs, fixed := s.sweepCells()
@@ -264,6 +295,11 @@ func runContendedFaulted(ctx context.Context, s *Spec, algos []broadcast.Algorit
 	fig := &Figure{ID: s.ID, Title: title, XLabel: xl, YLabel: yl}
 
 	cells := len(algos) * len(xs)
+	plans, err := s.faultPlans(cells, func(k int) (*topology.Mesh, int) { return topos[k%len(xs)], s.Faults.Links })
+	if err != nil {
+		return err
+	}
+	memo := &broadcast.Memo{}
 	p := s.pool(cells)
 	grid, err := runner.MapCtx(ctx, p, cells, func(k int) (*metrics.DegradationStats, error) {
 		algo, xi := algos[k/len(xs)], k%len(xs)
@@ -276,7 +312,7 @@ func runContendedFaulted(ctx context.Context, s *Spec, algos []broadcast.Algorit
 		if s.Axis == AxisVCs {
 			vcs = int(xs[xi])
 		}
-		st, err := s.faultedCell(m, algo, gap, vcs, s.Faults.Links, "", false)
+		st, err := s.faultedCell(m, algo, gap, vcs, plans[k], memo, "", false)
 		if err != nil {
 			return nil, fmt.Errorf("%s %s on %s: %w", s.Name, algo.Name(), m.Name(), err)
 		}
