@@ -126,15 +126,10 @@ func PlanCached(m *topology.Mesh, algo Algorithm, src topology.NodeID) (*Plan, e
 	return p, nil
 }
 
-// Memo shares the plans of one run among its simulations: the paired
-// cells of a fault sweep replay the same sources at every fault level.
-// Plans from PlanCached are indexed, so they are shared read-only. A
-// Memo never evicts, so it lives for one run, not a process. The zero
-// Memo is empty and safe for concurrent use.
-type Memo struct {
-	mu    sync.Mutex
-	plans map[memoKey]*Plan
-}
+// Memo shares the plans of one run among its simulations, such as the
+// paired cells of a fault sweep. It never evicts, so it lives for one
+// run. The zero Memo is empty and safe for concurrent use.
+type Memo struct{ plans sync.Map } // memoKey → indexed *Plan, stored once
 
 type memoKey struct {
 	m    *topology.Mesh
@@ -142,34 +137,22 @@ type memoKey struct {
 	src  topology.NodeID
 }
 
-// Plan returns PlanCached(m, algo, src), built once per memo; a nil
-// memo plans afresh on every call. Two goroutines that miss on one key
-// at once both plan it, and both get the first plan stored.
+// Plan returns PlanCached(m, algo, src) once per memo, shared read-only;
+// racing misses keep the first plan stored. A nil memo plans afresh.
 func (memo *Memo) Plan(m *topology.Mesh, algo Algorithm, src topology.NodeID) (*Plan, error) {
 	if memo == nil {
 		return PlanCached(m, algo, src)
 	}
 	k := memoKey{m, algo.Name(), src}
-	memo.mu.Lock()
-	p := memo.plans[k]
-	memo.mu.Unlock()
-	if p != nil {
-		return p, nil
+	p, ok := memo.plans.Load(k)
+	if !ok {
+		q, err := PlanCached(m, algo, src)
+		if err != nil {
+			return nil, err
+		}
+		p, _ = memo.plans.LoadOrStore(k, q)
 	}
-	p, err := PlanCached(m, algo, src)
-	if err != nil {
-		return nil, err
-	}
-	memo.mu.Lock()
-	defer memo.mu.Unlock()
-	if q := memo.plans[k]; q != nil {
-		return q, nil
-	}
-	if memo.plans == nil {
-		memo.plans = make(map[memoKey]*Plan)
-	}
-	memo.plans[k] = p
-	return p, nil
+	return p.(*Plan), nil
 }
 
 // index returns the plan's CSR send index, building it on first use:

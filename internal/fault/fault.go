@@ -127,9 +127,9 @@ func fire(_ *sim.Simulator, arg any) {
 }
 
 // Apply validates the plan against n's topology and schedules every
-// event on n's calendar. Call it before the simulation runs (events
-// must not be in the simulator's past). An empty plan schedules
-// nothing.
+// event on n's calendar; it never modifies p, so networks may share a
+// plan. Call it before the simulation runs (no event may be in the
+// simulator's past). An empty plan schedules nothing.
 func (p *Plan) Apply(n *network.Network) error {
 	if p.Empty() {
 		return nil

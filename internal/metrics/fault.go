@@ -42,8 +42,7 @@ type DegradedConfig struct {
 	// paper default (west-first under AB).
 	Adaptive    routing.Selector
 	AdaptiveSet bool
-	// Plans, when non-nil, shares broadcast plans with the other
-	// studies of one run (see broadcast.Memo); nil plans afresh.
+	// Plans, when non-nil, shares broadcast plans among one run's studies.
 	Plans *broadcast.Memo
 }
 
@@ -67,9 +66,7 @@ type DegradationStats struct {
 	CV stats.Accumulator
 	// Dropped counts worms the network aborted on dead resources.
 	Dropped uint64
-	// Events, Records and SimulatedTime describe the run's calendar:
-	// model events fired, calendar records drained (as in
-	// SingleSourceStats) and the clock at the end.
+	// Events, Records and SimulatedTime describe the run's calendar.
 	Events        uint64
 	Records       uint64
 	SimulatedTime sim.Time

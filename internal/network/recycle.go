@@ -43,10 +43,9 @@ func (n *Network) Release() {
 }
 
 // Reset returns a drained network, not its simulator, to the state New
-// leaves it in, keeping grown storage except a lazy store's pages and
-// the fault state: every link and node is alive again. It refuses,
-// changing nothing, a network with parked or in-flight worms;
-// otherwise it returns CheckInvariants.
+// leaves it in, every link and node alive, keeping grown storage except
+// a lazy store's pages. It refuses, changing nothing, a network with
+// parked or in-flight worms; otherwise it returns CheckInvariants.
 func (n *Network) Reset() error {
 	switch {
 	case len(n.parked) > 0:

@@ -14,8 +14,7 @@ import (
 )
 
 // FaultSpec declares a scenario's fault injection declaratively; the
-// run loop expands it into one concrete fault.Plan per distinct mesh
-// and failed-link count, shared by the cells that need it. All
+// run loop expands it into one fault.Plan per mesh and link count. All
 // randomness derives from (Spec.Seed, FaultSpec.Seed) only — never
 // from the series — so every algorithm and substrate sees the
 // identical fault plan and the comparison is paired.
@@ -122,37 +121,32 @@ func buildTopoKind(kind string, dims []int) *topology.Mesh {
 	return topology.NewMesh(dims...)
 }
 
-// faultKey names one distinct fault plan of a run.
-type faultKey struct {
-	m     *topology.Mesh
-	links int
-}
-
-// faultPlans returns the fault plan of each of n cells, cell k running
-// on cell(k)'s mesh with cell(k)'s failed-link count. Each distinct
-// plan is built once, before the cells fan out, and the cells share it
-// read-only: Plan.Apply does not mutate a plan.
-func (s *Spec) faultPlans(n int, cell func(k int) (*topology.Mesh, int)) ([]*fault.Plan, error) {
-	built := make(map[faultKey]*fault.Plan)
+// sharedPlans builds what the n cells of a faulted run share, read-only,
+// before they fan out: a broadcast-plan memo and each cell's fault plan,
+// once per distinct (mesh, failed links) that cell(k) names.
+func (s *Spec) sharedPlans(n int, cell func(k int) (*topology.Mesh, int)) ([]*fault.Plan, *broadcast.Memo, error) {
+	type key struct {
+		m     *topology.Mesh
+		links int
+	}
+	built := make(map[key]*fault.Plan)
 	out := make([]*fault.Plan, n)
 	for k := range out {
 		m, links := cell(k)
-		p, ok := built[faultKey{m, links}]
-		if !ok {
-			var err error
-			if p, err = s.Faults.plan(m, s.Seed, links); err != nil {
-				return nil, fmt.Errorf("%s on %s at %d failed links: %w", s.Name, m.Name(), links, err)
+		if built[key{m, links}] == nil {
+			p, err := s.Faults.plan(m, s.Seed, links)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%s on %s at %d failed links: %w", s.Name, m.Name(), links, err)
 			}
-			built[faultKey{m, links}] = p
+			built[key{m, links}] = p
 		}
-		out[k] = p
+		out[k] = built[key{m, links}]
 	}
-	return out, nil
+	return out, &broadcast.Memo{}, nil
 }
 
 // faultedCell runs one degraded study cell: the spec's contended
-// traffic on a network degraded by plan, under the given substrate
-// when subSet, taking its broadcast plans from the run's memo.
+// traffic on a network degraded by plan, under substrate sub if subSet.
 func (s *Spec) faultedCell(m *topology.Mesh, algo broadcast.Algorithm, gap float64,
 	vcs int, plan *fault.Plan, memo *broadcast.Memo, sub string, subSet bool) (*metrics.DegradationStats, error) {
 	ncfg := s.netConfig()
@@ -255,18 +249,16 @@ func runFaults(ctx context.Context, s *Spec, algos []broadcast.Algorithm, res *R
 	xs := s.Xs
 	nx := len(xs)
 	cells := len(series) * nx
-	plans, err := s.faultPlans(cells, func(k int) (*topology.Mesh, int) { return series[k/nx].m, int(xs[k%nx]) })
+	plans, memo, err := s.sharedPlans(cells, func(k int) (*topology.Mesh, int) { return series[k/nx].m, int(xs[k%nx]) })
 	if err != nil {
 		return err
 	}
-	memo := &broadcast.Memo{}
 	p := s.pool(cells)
 	grid, err := runner.MapCtx(ctx, p, cells, func(k int) (*metrics.DegradationStats, error) {
 		se := series[k/nx]
-		x := xs[k%nx]
 		st, err := s.faultedCell(se.m, se.algo, s.Interarrival, se.vcs, plans[k], memo, se.sub, se.subSet)
 		if err != nil {
-			return nil, fmt.Errorf("%s %s on %s at %g failed links: %w", s.Name, se.label, se.m.Name(), x, err)
+			return nil, fmt.Errorf("%s %s on %s at %g failed links: %w", s.Name, se.label, se.m.Name(), xs[k%nx], err)
 		}
 		return st, nil
 	})
@@ -295,11 +287,10 @@ func runContendedFaulted(ctx context.Context, s *Spec, algos []broadcast.Algorit
 	fig := &Figure{ID: s.ID, Title: title, XLabel: xl, YLabel: yl}
 
 	cells := len(algos) * len(xs)
-	plans, err := s.faultPlans(cells, func(k int) (*topology.Mesh, int) { return topos[k%len(xs)], s.Faults.Links })
+	plans, memo, err := s.sharedPlans(cells, func(k int) (*topology.Mesh, int) { return topos[k%len(xs)], s.Faults.Links })
 	if err != nil {
 		return err
 	}
-	memo := &broadcast.Memo{}
 	p := s.pool(cells)
 	grid, err := runner.MapCtx(ctx, p, cells, func(k int) (*metrics.DegradationStats, error) {
 		algo, xi := algos[k/len(xs)], k%len(xs)
