@@ -88,8 +88,8 @@ func TestSaturationStudyAllocationBudget(t *testing.T) {
 // 8×8×8 with 8 failed links, its broadcast plans taken from a memo the
 // warm-up filled. What is left is the results, closures and fault
 // records, but no network: a faulted network is recycled like any
-// other, and one built per study (about 350 KB) breaks the bytes
-// ceiling at once.
+// other, and a network and simulator built per study (about 2.8 MB
+// more) break the bytes ceiling at once.
 func TestFaultedStudyAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a random quarter of its Puts under -race, so warm networks are rebuilt")

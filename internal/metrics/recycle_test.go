@@ -17,9 +17,9 @@ import (
 // earlier run. Recycling must be unobservable: the same staggered
 // broadcasts on a fresh network and on one recycled after a different
 // workload (another algorithm, port count, seed, message length and
-// fault plan) must leave identical arrivals, clocks, event counts, batch census,
-// per-channel occupancy and worm counts, on any topology, either
-// store, pristine or under faults.
+// fault plan) must leave identical arrivals, clocks, event counts,
+// batch census, per-channel occupancy and worm counts, on any
+// topology, either store, pristine or under faults.
 
 // recycledOutcome is everything a drained twin leaves observable,
 // including what only a reset can clear.
