@@ -42,7 +42,7 @@ type DegradedConfig struct {
 	// paper default (west-first under AB).
 	Adaptive    routing.Selector
 	AdaptiveSet bool
-	// Plans, when non-nil, shares broadcast plans among one run's studies.
+	// Plans, if set, shares broadcast plans among one run's studies (in-module callers only).
 	Plans *broadcast.Memo
 }
 

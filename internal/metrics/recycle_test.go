@@ -43,17 +43,24 @@ func (tw *twin) recycledOutcome() recycledOutcome {
 
 // priorWorkload is the different run the recycled network carries
 // first: the next algorithm the case's dimensionality supports,
-// another seed, fewer and longer messages, and the complementary
-// faults (4−links failed links, churn flipped), so a pristine case
-// follows a faulted run and a heavily faulted one a pristine run.
+// another seed, fewer and longer messages, and, by the low bit of that
+// seed, no faults or the complementary ones (4−links failed links,
+// churn flipped), so a pristine or faulted case follows either kind.
 func (c twinCase) priorWorkload() twinCase {
 	p := c
 	p.algoIx = (c.algoIx + 1) % []int{1: 1, 2: 3, 3: 4}[len(c.dims)] // as Generate draws
 	p.seed = ^c.seed
-	p.links, p.churn = 4-c.links, !c.churn
+	p.links, p.churn = 0, false
+	if p.seed&1 == 1 {
+		p.links, p.churn = 4-c.links, !c.churn
+	}
 	p.broadcasts, p.length = 5, 24
 	return p
 }
+
+// faulted reports whether the case runs under a fault plan; every
+// generated mesh has a link to fail.
+func (c twinCase) faulted() bool { return c.links > 0 || c.churn }
 
 // freshVsRecycled runs the case on a new network and on one Acquire
 // hands out after the prior workload was Released, and reports
@@ -106,10 +113,13 @@ func (c twinCase) freshVsRecycled() (recycled bool, err error) {
 // over random meshes and tori, dense and lazy stores, and fault plans.
 // Whether Acquire recycles is up to sync.Pool, which may drop a Put;
 // over the whole suite it must have recycled at least once, so the
-// comparison is never fresh against fresh only.
+// comparison is never fresh against fresh only. All four pairings of a
+// pristine or faulted prior run with a pristine or faulted case occur.
 func TestRecycledMatchesFreshQuick(t *testing.T) {
 	hits := 0
+	pairings := map[[2]bool]int{} // {prior faulted, case faulted} → cases
 	prop := func(c twinCase) bool {
+		pairings[[2]bool{c.priorWorkload().faulted(), c.faulted()}]++
 		recycled, err := c.freshVsRecycled()
 		if err != nil {
 			t.Logf("case %+v: %v", c, err)
@@ -127,9 +137,12 @@ func TestRecycledMatchesFreshQuick(t *testing.T) {
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d of 40 cases ran on a recycled network", hits)
+	t.Logf("%d of 40 cases ran on a recycled network; {prior, case} faulted pairings: %v", hits, pairings)
 	if hits == 0 {
 		t.Fatal("Acquire never recycled a released network")
+	}
+	if len(pairings) != 4 {
+		t.Fatalf("only %d of the 4 pristine/faulted pairings ran: %v", len(pairings), pairings)
 	}
 }
 

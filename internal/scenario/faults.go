@@ -121,10 +121,9 @@ func buildTopoKind(kind string, dims []int) *topology.Mesh {
 	return topology.NewMesh(dims...)
 }
 
-// sharedPlans builds what the n cells of a faulted run share, read-only,
-// before they fan out: a broadcast-plan memo and each cell's fault plan,
-// once per distinct (mesh, failed links) that cell(k) names.
-func (s *Spec) sharedPlans(n int, cell func(k int) (*topology.Mesh, int)) ([]*fault.Plan, *broadcast.Memo, error) {
+// faultPlans builds the n cells' fault plans, shared read-only, before
+// they fan out: once per distinct (mesh, failed links) cell(k) names.
+func (s *Spec) faultPlans(n int, cell func(k int) (*topology.Mesh, int)) ([]*fault.Plan, error) {
 	type key struct {
 		m     *topology.Mesh
 		links int
@@ -136,13 +135,13 @@ func (s *Spec) sharedPlans(n int, cell func(k int) (*topology.Mesh, int)) ([]*fa
 		if built[key{m, links}] == nil {
 			p, err := s.Faults.plan(m, s.Seed, links)
 			if err != nil {
-				return nil, nil, fmt.Errorf("%s on %s at %d failed links: %w", s.Name, m.Name(), links, err)
+				return nil, fmt.Errorf("%s on %s at %d failed links: %w", s.Name, m.Name(), links, err)
 			}
 			built[key{m, links}] = p
 		}
 		out[k] = built[key{m, links}]
 	}
-	return out, &broadcast.Memo{}, nil
+	return out, nil
 }
 
 // faultedCell runs one degraded study cell: the spec's contended
@@ -249,10 +248,11 @@ func runFaults(ctx context.Context, s *Spec, algos []broadcast.Algorithm, res *R
 	xs := s.Xs
 	nx := len(xs)
 	cells := len(series) * nx
-	plans, memo, err := s.sharedPlans(cells, func(k int) (*topology.Mesh, int) { return series[k/nx].m, int(xs[k%nx]) })
+	plans, err := s.faultPlans(cells, func(k int) (*topology.Mesh, int) { return series[k/nx].m, int(xs[k%nx]) })
 	if err != nil {
 		return err
 	}
+	memo := &broadcast.Memo{} // paired cells replay the same sources at every fault level
 	p := s.pool(cells)
 	grid, err := runner.MapCtx(ctx, p, cells, func(k int) (*metrics.DegradationStats, error) {
 		se := series[k/nx]
@@ -279,15 +279,15 @@ func runFaults(ctx context.Context, s *Spec, algos []broadcast.Algorithm, res *R
 
 // runContendedFaulted executes a contended sweep (size, interarrival
 // or VCs axis) with a fixed active fault set applied to every cell —
-// the -faults CLI path. The fault plan is built per topology so a
-// size sweep fails Links links of each shape.
+// the -faults CLI path. One fault plan per topology fails Links links
+// of each shape; the cells plan their broadcasts without a shared memo.
 func runContendedFaulted(ctx context.Context, s *Spec, algos []broadcast.Algorithm, res *Result) error {
 	topos, xs, fixed := s.sweepCells()
 	title, xl, yl := s.headings(fixed)
 	fig := &Figure{ID: s.ID, Title: title, XLabel: xl, YLabel: yl}
 
 	cells := len(algos) * len(xs)
-	plans, memo, err := s.sharedPlans(cells, func(k int) (*topology.Mesh, int) { return topos[k%len(xs)], s.Faults.Links })
+	plans, err := s.faultPlans(cells, func(k int) (*topology.Mesh, int) { return topos[k%len(xs)], s.Faults.Links })
 	if err != nil {
 		return err
 	}
@@ -303,7 +303,7 @@ func runContendedFaulted(ctx context.Context, s *Spec, algos []broadcast.Algorit
 		if s.Axis == AxisVCs {
 			vcs = int(xs[xi])
 		}
-		st, err := s.faultedCell(m, algo, gap, vcs, plans[k], memo, "", false)
+		st, err := s.faultedCell(m, algo, gap, vcs, plans[k], nil, "", false)
 		if err != nil {
 			return nil, fmt.Errorf("%s %s on %s: %w", s.Name, algo.Name(), m.Name(), err)
 		}
