@@ -88,6 +88,17 @@ func checkTail(t *testing.T, hops, length int, every bool) {
 	b.OnDeliver = func(topology.NodeID, sim.Time) { bGrant = activeWorm(n, b).portAt }
 	n.MustSend(0, a)
 	n.MustSend(0, b)
+	// Step to A's completion: the record that completes the header
+	// leaves the calendar and exactly one tail record joins it, however
+	// many distinct instants the tail spans — each tail record pushes
+	// the next.
+	for w := activeWorm(n, a); w.tcomp == 0; {
+		before := s.Pending()
+		s.Step()
+		if w.tcomp != 0 && s.Pending() != before {
+			t.Errorf("completion took pending %d -> %d, want one tail record for the consumed advance", before, s.Pending())
+		}
+	}
 	s.Run()
 
 	// The clock reaches tcomp the way the simulator advances it: Ts
@@ -242,15 +253,23 @@ func TestContendedShortWormLog(t *testing.T) {
 // Its tail's later actions at that instant must not run, as they would
 // not in a wavefront cut short by Stop: no further delivery, no port
 // release (it would grant the worm queued behind, scheduling after
-// Stop), no retirement. Fired counts exactly the actions that ran.
+// Stop), no retirement. Fired counts exactly the actions that ran, and
+// the stopped worm leaves exactly one record pending — its next tail
+// instant's — however many instants its tail had left.
 func TestStopInsideDrainTail(t *testing.T) {
+	for _, length := range []int{1, 3} {
+		t.Run(fmt.Sprintf("L=%d", length), func(t *testing.T) { checkStopInsideTail(t, length) })
+	}
+}
+
+func checkStopInsideTail(t *testing.T, length int) {
 	const hops = 6
 	s, m, n := testNet(t, 8, 8)
 	dels := 0
 	n.MustSend(0, &Transfer{
 		Source:    m.ID(0, 0),
 		Waypoints: linePath(m, hops),
-		Length:    1,
+		Length:    length,
 		OnDeliver: func(topology.NodeID, sim.Time) { dels++; s.Stop() },
 		OnDone:    func(sim.Time) { t.Error("worm retired after Stop") },
 	})
@@ -263,14 +282,14 @@ func TestStopInsideDrainTail(t *testing.T) {
 		t.Fatalf("%d worms in flight, want both", n.InFlight())
 	}
 	// The releases sharing the first tail instant ran before the
-	// delivery: with one flit, every channel but the last frees at
-	// tcomp unless rounding lifts tdone - β above it.
+	// delivery: with L flits, every channel but the last L frees at
+	// tcomp unless rounding lifts tdone - k·β above it.
 	cfg := n.Config()
 	tcomp := 0 + cfg.Ts
 	for range hops {
 		tcomp += n.hop
 	}
-	tdone := tcomp + cfg.Beta
+	tdone := tcomp + float64(length)*cfg.Beta
 	first := 0
 	for k := hops - 1; k >= 0 && max(tdone-float64(k)*cfg.Beta, tcomp) == tcomp; k-- {
 		first++
@@ -279,5 +298,11 @@ func TestStopInsideDrainTail(t *testing.T) {
 	// first instant's releases and the one delivery.
 	if want := uint64(2 + 1 + hops + first + 1); s.Fired() != want {
 		t.Errorf("fired %d model events, want %d", s.Fired(), want)
+	}
+	if first == hops {
+		t.Fatalf("the whole tail fell on tcomp; the case needs a later instant")
+	}
+	if s.Pending() != 1 {
+		t.Errorf("stopped draining worm left %d records pending, want 1", s.Pending())
 	}
 }

@@ -16,10 +16,10 @@ import (
 // hot path recycles storage instead of re-growing it for every
 // message. All of a worm's calendar entries are (Func, worm) records.
 // Its drain tail is one tailEvent record per distinct tail instant
-// (see complete): each consumes the per-worm schedule through the
-// rel/del cursors, recomputing the instants from tcomp, and the
-// calendar's (due, seq) order fires the records in the order complete
-// laid them out in.
+// (see complete), chained: only the next one is pending at a time,
+// each pushing its successor under a seq complete reserved. Each
+// consumes the per-worm schedule through the rel/del cursors,
+// recomputing the instants from tcomp.
 type worm struct {
 	net *Network
 	t   *Transfer
@@ -36,6 +36,7 @@ type worm struct {
 	started sim.Time             // injection request time
 	portAt  sim.Time             // port grant time
 	tcomp   sim.Time             // completion time: the header reached the last waypoint
+	tailSeq uint64               // first of the hops seqs reserved for the drain tail
 
 	// parkToken is non-nil while the worm is parked awaiting a fault
 	// recovery; it guards the park-timeout calendar record (see
@@ -110,7 +111,7 @@ func (n *Network) putWorm(w *worm) {
 	w.deliver = w.deliver[:0]
 	w.relCur, w.delCur = 0, 0
 	w.waiting = topology.InvalidChannel
-	w.started, w.portAt, w.tcomp = 0, 0, 0
+	w.started, w.portAt, w.tcomp, w.tailSeq = 0, 0, 0, 0
 	w.parkToken = nil
 	w.vcPol = nil
 	w.sel, w.chApp, w.hopApp = nil, nil, nil
@@ -167,6 +168,11 @@ func drainAt(tdone, tcomp sim.Time, k int, beta float64) sim.Time {
 // still counts one model event per action. A Stop raised by an action
 // abandons the rest, as a Stop mid-wavefront leaves the unexecuted
 // records unrun.
+//
+// Before any action it pushes the record of the worm's next tail
+// instant, if any, under the reserved seq of that instant's first
+// channel: a Stop then leaves the draining worm exactly one pending
+// record, and retirement, in the last record, pushes nothing.
 func tailEvent(s *sim.Simulator, arg any) {
 	w := arg.(*worm)
 	n := w.net
@@ -174,8 +180,16 @@ func tailEvent(s *sim.Simulator, arg any) {
 	hops := len(w.chans)
 	tdone := tailDone(w.tcomp, w.t.Length, n.beta)
 	first := w.relCur == 0
+	last := w.relCur // this instant releases chans[relCur:last]
+	for last < hops {
+		if at := drainAt(tdone, w.tcomp, hops-1-last, n.beta); at != now {
+			s.AtCallSeq(at, w.tailSeq+uint64(last), tailEvent, w)
+			break
+		}
+		last++
+	}
 	ran := 0
-	for w.relCur < hops && !s.Stopped() && drainAt(tdone, w.tcomp, hops-1-w.relCur, n.beta) == now {
+	for w.relCur < last && !s.Stopped() {
 		i := w.relCur
 		w.relCur++
 		n.release(w.chans[i])
@@ -508,20 +522,17 @@ func (n *Network) complete(w *worm) {
 	// the worm retires when it leaves the last channel — so every
 	// tail action falls on one of the release instants.
 	//
-	// One tailEvent is scheduled per distinct release instant, in
-	// ascending order. A record per action would also occupy one
-	// contiguous block of sequence numbers: no other record's
-	// (due, seq) falls between two of this worm's actions at any
-	// instant, and anything an action schedules gets a larger seq
-	// either way. Folding the block therefore leaves the event order
-	// — and every output byte — unchanged.
+	// One tailEvent fires per distinct release instant, in ascending
+	// order. A record per action would occupy one contiguous block of
+	// sequence numbers reserved now: no other record's (due, seq)
+	// falls between two of this worm's actions at any instant, and
+	// anything an action schedules gets a larger seq either way.
+	// Folding the block into one record per instant therefore leaves
+	// the event order — and every output byte — unchanged. So does
+	// chaining the records: each instant's record carries the
+	// reserved seq of its first channel whenever it is pushed, so
+	// only the first is pushed here and each pushes the next.
 	w.tcomp = now
-	var prev sim.Time
-	for i := range hops {
-		at := drainAt(tdone, now, hops-1-i, beta)
-		if i == 0 || at != prev {
-			n.sim.AtCall(at, tailEvent, w)
-		}
-		prev = at
-	}
+	w.tailSeq = n.sim.ReserveSeqs(hops)
+	n.sim.AtCallSeq(drainAt(tdone, now, hops-1, beta), w.tailSeq, tailEvent, w)
 }

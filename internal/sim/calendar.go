@@ -11,16 +11,20 @@ import "math"
 // fixed delay arrive in nondecreasing due — now never decreases and
 // float addition is monotone — and seq is global and increasing, so a
 // FIFO of them is already sorted by (due, seq). Each such class gets a
-// lane: lane 0 takes AtCall(now, …), and the others are claimed by the
-// first distinct AfterCall delays seen after New or Reset. A lane push
-// is an O(1) link with no sort, no bucket routing and no memmove.
+// lane: lane 0 takes AtCall(now, …), and lanes 1 and 2 are claimed by
+// the first distinct AfterCall delays seen after New or Reset. The
+// last lane, tailLane, takes AtCallSeq's records: chains pushed under
+// reserved seqs, such as a worm's drain tail, whose links carry seqs
+// older than the newest. A lane push is an O(1) link with no sort, no
+// bucket routing and no memmove.
 //
-// A push joins its lane only if its due is at or past the lane's tail
-// due; anything else goes to the ladder, as does every push of a delay
-// no lane serves. That guard is the lanes' whole correctness argument,
-// so which lane (or the ladder) a record lands in never changes the
-// order records come out in — the heap oracle the tests drain against
-// sees the same schedule whatever the placement.
+// A push joins its lane only if it sorts at or after the lane's tail
+// by (due, seq); anything else goes to the ladder, as does every push
+// of a delay no lane serves. That guard is the lanes' whole
+// correctness argument, so which lane (or the ladder) a record lands
+// in never changes the order records come out in — the heap oracle
+// the tests drain against sees the same schedule whatever the
+// placement.
 //
 // Lanes are bucketLists threaded through the ladder's arena: a lane
 // record is an ordinary arena slot, so lanes add no storage, no write
@@ -28,24 +32,25 @@ import "math"
 //
 // Popping merges the lane heads with the ladder head by (due, seq).
 // popWavefront takes every record due at the front instant from every
-// source — the ladder may hold one instant in more than one run (it
-// splits a run at topStart), so it keeps taking ladder runs while the
-// ladder's head is still due at that instant — and k-way merges the
-// sorted runs by seq.
+// source, re-reading a source's head after each run it takes, and
+// k-way merges the sorted runs by seq: any lane, the tail lane
+// included, may hold records at that instant with seqs below the
+// other sources'.
 type calendar struct {
 	n     int // pending records, lanes and ladder together
 	lq    ladderQueue
 	lanes [laneCount]bucketList
 	// delays[k] is the AfterCall delay lane k serves; lanes below
 	// claimed are in use. Lane 0 serves zero delay from New on.
-	delays  [laneCount]Time
+	delays  [tailLane]Time
 	claimed int
 }
 
 const (
-	laneCount = 3         // AtCall(now) plus the model's two fixed AfterCall delays
-	ladderSrc = laneCount // source index of the ladder in the merge
-	noLane    = -1        // push straight to the ladder
+	laneCount = 4             // AtCall(now), the model's two fixed AfterCall delays, AtCallSeq
+	tailLane  = laneCount - 1 // AtCallSeq's lane: chains under reserved seqs
+	ladderSrc = laneCount     // source index of the ladder in the merge
+	noLane    = -1            // push straight to the ladder
 )
 
 func newCalendar() *calendar {
@@ -57,8 +62,8 @@ func newCalendar() *calendar {
 func (c *calendar) clearLanes() {
 	for k := range c.lanes {
 		c.lanes[k] = bucketList{head: nilIdx, tail: nilIdx}
-		c.delays[k] = 0
 	}
+	c.delays = [tailLane]Time{}
 	c.claimed = 1
 }
 
@@ -83,7 +88,7 @@ func (c *calendar) laneFor(delay Time) int {
 			return k
 		}
 	}
-	if c.claimed == laneCount {
+	if c.claimed == tailLane {
 		return noLane
 	}
 	k := c.claimed
@@ -94,12 +99,12 @@ func (c *calendar) laneFor(delay Time) int {
 
 // push schedules the record (due, seq, fn, arg) on lane k (noLane:
 // the ladder). The record joins the lane only if that keeps the lane
-// sorted.
+// sorted by (due, seq).
 func (c *calendar) push(k int, due Time, seq uint64, fn Func, arg any) {
 	c.n++
 	if k != noLane {
 		l := &c.lanes[k]
-		if l.head < 0 || due >= c.lq.nodes[l.tail].due {
+		if l.head < 0 || c.lq.nodes[l.tail].before(due, seq) {
 			c.lq.link(l, c.lq.alloc(due, seq, fn, arg))
 			return
 		}

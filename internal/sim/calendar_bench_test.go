@@ -80,6 +80,45 @@ func holdSim(n int) *Simulator {
 	return s
 }
 
+// holdChainJitter are the tail-chain case's increments: about one flit
+// time β, jittered so chains interleave out of step with one another.
+var holdChainJitter = [4]Time{0.003, 0.0031, 0.0029, 0.006}
+
+// holdChainLinks is how many seqs a tail-chain record reserves at once.
+const holdChainLinks = 8
+
+// holdLink is a tail-chain record's state: the next of its reserved
+// seqs and how many of them are left.
+type holdLink struct {
+	seq  uint64
+	left int
+}
+
+// holdChain is the tail-chain case's record: when it fires it
+// re-pushes itself a jittered near-future step later under the next of
+// its reserved seqs, through AtCallSeq as a draining worm does, and
+// reserves a fresh block once the last is used.
+func holdChain(s *Simulator, arg any) {
+	l := arg.(*holdLink)
+	if l.left == 0 {
+		l.seq, l.left = s.ReserveSeqs(holdChainLinks), holdChainLinks
+	}
+	s.AtCallSeq(s.Now()+holdChainJitter[s.Fired()%uint64(len(holdChainJitter))], l.seq, holdChain, l)
+	l.seq++
+	l.left--
+}
+
+// holdChainSim prefills a Simulator with n holdChain records at random
+// times.
+func holdChainSim(n int) *Simulator {
+	s := New()
+	rng := xorshift64(2005)
+	for i := 0; i < n; i++ {
+		s.AtCall(rng.float01()*4, holdChain, &holdLink{})
+	}
+	return s
+}
+
 // holdSteps runs k hold operations on s: each Step pops one record,
 // which pushes its replacement.
 func holdSteps(s *Simulator, k int) {
@@ -94,6 +133,9 @@ func holdSteps(s *Simulator, k int) {
 // plus 10⁵ as the scaling stress the heap's O(log n) sift feels most.
 // The fixed-delay case runs the hold model through a Simulator whose
 // every push is one of the model's fixed delays: the calendar's lanes.
+// The tail-chain case's records re-push themselves under reserved
+// seqs, as drain tails do: the tail lane, and the ladder for the links
+// that arrive out of step.
 func BenchmarkHold(b *testing.B) {
 	for _, kind := range holdKinds {
 		for _, n := range []int{100, 10000, 100000} {
@@ -110,6 +152,13 @@ func BenchmarkHold(b *testing.B) {
 		b.Run(fmt.Sprintf("fixed-delay/n=%d", n), func(b *testing.B) {
 			s := holdSim(n)
 			holdSteps(s, 2*n) // drain the random prefill into the lanes
+			b.ReportAllocs()
+			b.ResetTimer()
+			holdSteps(s, b.N)
+		})
+		b.Run(fmt.Sprintf("tail-chain/n=%d", n), func(b *testing.B) {
+			s := holdChainSim(n)
+			holdSteps(s, 2*n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			holdSteps(s, b.N)
@@ -139,6 +188,13 @@ func TestHoldSteadyStateAllocationFree(t *testing.T) {
 		holdSteps(s, 30000)
 		if avg := testing.AllocsPerRun(50, func() { holdSteps(s, 200) }); avg != 0 {
 			t.Errorf("fixed-delay hold allocates %v per 200 warm ops, want 0", avg)
+		}
+	})
+	t.Run("tail-chain", func(t *testing.T) {
+		s := holdChainSim(10000)
+		holdSteps(s, 30000)
+		if avg := testing.AllocsPerRun(50, func() { holdSteps(s, 200) }); avg != 0 {
+			t.Errorf("tail-chain hold allocates %v per 200 warm ops, want 0", avg)
 		}
 	})
 }

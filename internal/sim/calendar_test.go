@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -13,7 +14,9 @@ import (
 // differentials drive the lanes the way the network model does —
 // fixed AfterCall delays and pushes at the running instant — mixed
 // with the ladder's traffic: random delays, absolute times in the
-// future and same-instant bursts.
+// future and same-instant bursts — and with chains pushed under
+// reserved seqs, each link pushing the next, as a worm's drain tail
+// is.
 
 // laneClock is what the lane workload needs of a kernel: the
 // Simulator (through laneSim) and the heap reference loop both
@@ -22,6 +25,8 @@ type laneClock interface {
 	Now() Time
 	After(d Time, f func())
 	At(t Time, f func())
+	Reserve(n int) uint64
+	AtSeq(t Time, seq uint64, f func())
 	Stop()
 }
 
@@ -34,6 +39,10 @@ func callFunc(_ *Simulator, arg any) { arg.(func())() }
 
 func (c laneSim) After(d Time, f func()) { c.AfterCall(d, callFunc, f) }
 func (c laneSim) At(t Time, f func())    { c.AtCall(t, callFunc, f) }
+func (c laneSim) Reserve(n int) uint64   { return c.ReserveSeqs(n) }
+func (c laneSim) AtSeq(t Time, seq uint64, f func()) {
+	c.AtCallSeq(t, seq, callFunc, f)
+}
 
 // laneWorkload is one random schedule: a seed for its choices, when to
 // Stop (0: never), and the RunUntil horizons to drain through before
@@ -55,14 +64,19 @@ const (
 // events append to. Every event schedules up to three children, each
 // one of: a hop or startup delay (lane traffic), a zero delay through
 // After or At (the zero lane), a random grid delay, an absolute grid
-// time (ladder traffic, or the zero lane when it is now), or a burst
-// of several records at one future instant. The total is capped so a
-// schedule stays small.
+// time (ladder traffic, or the zero lane when it is now), a burst
+// of several records at one future instant, or a chain: up to six
+// links under seqs reserved now, the first due now or soon, each
+// pushing the next a grid step or an off-grid jitter later before it
+// runs its own body. Links sort before records pushed after the
+// reservation at the same instant. The total is capped so a schedule
+// stays small.
 func (w laneWorkload) load(c laneClock) *[]traceRec {
 	trace := new([]traceRec)
 	rng := xorshift64(w.seed | 1)
 	nextID := 0
 	var spawn func(sched func(func()))
+	var chain func(first, i, k uint64, at Time)
 	body := func(id int) func() {
 		return func() {
 			*trace = append(*trace, traceRec{c.Now(), id})
@@ -71,7 +85,7 @@ func (w laneWorkload) load(c laneClock) *[]traceRec {
 				return
 			}
 			for fan := rng.next() % 4; fan > 0 && nextID < 3000; fan-- {
-				switch rng.next() % 9 {
+				switch rng.next() % 10 {
 				case 0, 1:
 					spawn(func(f func()) { c.After(testHop, f) })
 				case 2:
@@ -95,6 +109,9 @@ func (w laneWorkload) load(c laneClock) *[]traceRec {
 					// Off the grid: a due no other record shares.
 					d := rng.float01() * 3
 					spawn(func(f func()) { c.After(d, f) })
+				case 9:
+					k := 1 + rng.next()%6
+					chain(c.Reserve(int(k)), 0, k, c.Now()+Time(rng.next()%3)*0.25)
 				}
 			}
 		}
@@ -103,6 +120,20 @@ func (w laneWorkload) load(c laneClock) *[]traceRec {
 		id := nextID
 		nextID++
 		sched(body(id))
+	}
+	chain = func(first, i, k uint64, at Time) {
+		spawn(func(f func()) {
+			c.AtSeq(at, first+i, func() {
+				if i+1 < k {
+					step := Time(1+rng.next()%3) * 0.25
+					if rng.next()%2 == 0 {
+						step = 0.001 + rng.float01()*0.5
+					}
+					chain(first, i+1, k, c.Now()+step)
+				}
+				f()
+			})
+		})
 	}
 	for i := 0; i < 6; i++ {
 		spawn(func(f func()) { c.At(Time(i%3)*testHop, f) })
@@ -206,18 +237,29 @@ func TestLanesMatchHeapQuick(t *testing.T) {
 
 // TestLanePlacementNeverReordersQuick drives the calendar directly:
 // every push names a lane (or the ladder) at random, whatever its due,
-// so lane pushes land behind a later tail as often as not. The tail
-// guard must send those to the ladder, and pop and popWavefront must
+// so lane pushes land behind a later tail as often as not, and about
+// a quarter of pushes carry an older seq reserved earlier, as
+// AtCallSeq's records do. The (due, seq) guards must send misfits to
+// the ladder, every ladder tier must slot an old seq in order —
+// including a push due exactly at topStart while the rungs or bottom
+// hold that instant under larger seqs — and pop and popWavefront must
 // still drain in the heap oracle's order, with first reporting the
-// front due.
+// front due. Schedules run to a few thousand operations, so the
+// ladder spawns rungs.
 func TestLanePlacementNeverReordersQuick(t *testing.T) {
-	f := func(ops []uint16) bool {
+	// Old-seq pushes that reached each ladder tier, and those due at
+	// topStart behind a larger seq there.
+	var top, rungs, bottom, atTopStart int
+	f := func(seed uint64, size uint8) bool {
+		rng := xorshift64(seed | 1)
 		c, heap := newCalendar(), &eventQueue{}
 		var seq uint64
+		var reserved []uint64
 		now := Time(0)
 		var buf []event
-		for _, op := range ops {
-			switch op % 8 {
+		for range 64 + 16*int(size) {
+			op := rng.next()
+			switch op % 10 {
 			case 0:
 				if heap.Len() == 0 {
 					continue
@@ -243,11 +285,44 @@ func TestLanePlacementNeverReordersQuick(t *testing.T) {
 					return false
 				}
 				now = he.due
+			case 2:
+				for k := op >> 8 % 8; k > 0; k-- {
+					reserved = append(reserved, seq)
+					seq++
+				}
 			default:
-				e := event{due: now + Time(op>>3%16)*0.25, seq: seq, fn: callFunc}
-				seq++
+				e := event{due: now + Time(op>>3%32)*0.25, seq: seq, fn: callFunc}
+				old := op>>12%4 == 0 && len(reserved) > 0
+				if old {
+					j := int(op >> 16 % uint64(len(reserved)))
+					e.seq = reserved[j]
+					reserved[j] = reserved[len(reserved)-1]
+					reserved = reserved[:len(reserved)-1]
+					if ts := c.lq.topStart; op>>24%4 == 0 && ts >= now && !math.IsInf(ts, 0) {
+						e.due = ts
+						for _, it := range heap.items {
+							if it.due == ts && it.seq > e.seq {
+								atTopStart++
+								break
+							}
+						}
+					}
+				} else {
+					seq++
+				}
+				inLadder, rung := c.lq.n, c.lq.active > 0
 				heap.push(e)
 				c.push(int(op>>7%(laneCount+1))-1, e.due, e.seq, e.fn, e.arg) // noLane or any lane
+				if old && c.lq.n > inLadder {
+					switch {
+					case e.due > c.lq.topStart:
+						top++
+					case rung:
+						rungs++
+					default:
+						bottom++
+					}
+				}
 			}
 			if c.n != heap.Len() {
 				return false
@@ -261,14 +336,19 @@ func TestLanePlacementNeverReordersQuick(t *testing.T) {
 		}
 		return c.n == 0 && c.lq.n == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+	if top == 0 || rungs == 0 || bottom == 0 || atTopStart == 0 {
+		t.Fatalf("old-seq pushes reached top %d, rungs %d, bottom %d times and topStart behind a larger seq %d times; want each at least once",
+			top, rungs, bottom, atTopStart)
 	}
 }
 
-// TestLanesClaimFirstDelays pins lane claiming: zero delay always has
-// lane 0, the first distinct AfterCall delays claim the others in
-// order, a delay seen once all are claimed goes to the ladder, and
+// TestLanesClaimFirstDelays pins the lane layout: zero delay always
+// has lane 0, the first distinct AfterCall delays claim lanes 1 and 2
+// in order, a delay seen once both are claimed goes to the ladder,
+// AtCallSeq's records take the tail lane (lane 0 when due now), and
 // Reset gives every claim back.
 func TestLanesClaimFirstDelays(t *testing.T) {
 	s := New()
@@ -277,12 +357,29 @@ func TestLanesClaimFirstDelays(t *testing.T) {
 		s.AfterCall(d, noop, nil)
 	}
 	c := s.queue
-	if c.delays != [laneCount]Time{0, testHop, testTs} || c.claimed != laneCount {
+	if c.delays != [tailLane]Time{0, testHop, testTs} || c.claimed != tailLane {
 		t.Fatalf("lanes claimed %v (%d), want [0 %v %v]", c.delays, c.claimed, testHop, testTs)
 	}
 	if c.lq.n != 1 || c.n != 7 {
 		t.Fatalf("ladder holds %d of %d records, want the one unclaimed delay", c.lq.n, c.n)
 	}
+	laneLen := func(k int) int {
+		n := 0
+		for i := c.lanes[k].head; i >= 0; i = c.lq.nodes[i].next {
+			n++
+		}
+		return n
+	}
+	seq := s.ReserveSeqs(3)
+	s.AtCallSeq(2, seq+1, noop, nil)
+	s.AtCallSeq(3, seq+2, noop, nil)
+	s.AtCallSeq(0, seq, noop, nil)
+	if laneLen(tailLane) != 2 || laneLen(0) != 3 || c.lq.n != 1 {
+		t.Fatalf("reserved-seq records: tail lane %d, lane 0 %d, ladder %d; want 2, 3, 1",
+			laneLen(tailLane), laneLen(0), c.lq.n)
+	}
+	mustPanicWith(t, fmt.Sprintf("sim: AtCallSeq with unreserved seq %d", seq+3),
+		func() { s.AtCallSeq(4, seq+3, noop, nil) })
 	s.Reset()
 	s.AfterCall(testTs, noop, nil)
 	if c.delays[1] != testTs || c.claimed != 2 || c.lq.n != 0 {

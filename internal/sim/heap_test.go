@@ -99,6 +99,16 @@ func (h *heapSim) At(t Time, f func()) {
 	h.seq++
 }
 
+func (h *heapSim) Reserve(n int) uint64 {
+	first := h.seq
+	h.seq += uint64(n)
+	return first
+}
+
+func (h *heapSim) AtSeq(t Time, seq uint64, f func()) {
+	h.q.push(event{due: t, seq: seq, arg: f})
+}
+
 func (h *heapSim) Stop() { h.stopped = true }
 
 func (h *heapSim) run() { h.runUntil(math.Inf(1)) }

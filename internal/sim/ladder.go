@@ -8,15 +8,20 @@ import (
 // ladderQueue is a ladder queue (multi-tier calendar queue) over
 // (due, seq): the general-purpose half of the simulator's calendar.
 // The calendar (calendar.go) sends the model's constant-delay pushes
-// to its FIFO lanes; what reaches the ladder is the residual — records
-// whose delay varies, such as a worm's drain tails and the workloads'
-// own closures — plus any lane push that would have broken its lane's
-// order. The ladder also owns the arena every record, lane or ladder,
-// lives in.
+// and its drain-tail chains to its FIFO lanes; what reaches the ladder
+// is the residual — records whose delay varies, such as the
+// workloads' own closures and fault timers — plus any lane push that
+// would have broken its lane's order. For the tail lane that is about
+// half the tail records: a worm's first tail record is pushed far
+// ahead, and the chained records pushed one flit time ahead behind it
+// spill. A residual record may carry a seq older than records already
+// queued (AtCallSeq), so every tier orders by (due, seq), never by
+// push order alone. The ladder also owns the arena every record, lane or
+// ladder, lives in.
 //
 // Events live in one of three tiers:
 //
-//   - top: an unsorted FIFO for events at or beyond topStart, the
+//   - top: an unsorted FIFO for events beyond topStart, the
 //     far-future boundary.
 //   - rungs: a stack of bucketed time windows. rungs[0] is the
 //     coarsest; each finer rung subdivides one over-full span of the
@@ -38,7 +43,8 @@ import (
 //
 // Sorting is deferred until a bucket becomes the working window, and
 // is skipped when the bucket drains already in (due, seq) order, as a
-// bucket holding one instant does: seq is assigned in push order.
+// bucket holding one instant usually does: seq is assigned in push
+// order except for AtCallSeq's reserved seqs.
 //
 // Execution order is bit-for-bit that of a binary heap over (due,
 // seq) — the reference oracle the tests drain it against: ties are
@@ -67,8 +73,10 @@ type ladderQueue struct {
 	rungs  []*rung
 	active int
 
-	// top collects events due at or after topStart in push (seq)
-	// order.
+	// top collects events due after topStart in push order. Events
+	// due at topStart itself are routed below: the rungs or bottom
+	// may already hold that instant, and a reserved-seq push there
+	// must sort before their larger seqs, not queue behind them.
 	top      bucketList
 	topLen   int
 	topStart Time
@@ -102,6 +110,11 @@ type arenaSlot struct {
 	_    int32 // padding; keeps fn pointer-aligned
 	fn   Func
 	arg  any
+}
+
+// before reports whether the slot's record sorts before (due, seq).
+func (nd *arenaSlot) before(due Time, seq uint64) bool {
+	return nd.due < due || nd.due == due && nd.seq < seq
 }
 
 // itemNode is the element type of bottom: the ordering key plus the
@@ -199,7 +212,7 @@ func (q *ladderQueue) push(e event) { q.insert(e.due, e.seq, e.fn, e.arg) }
 func (q *ladderQueue) insert(due Time, seq uint64, fn Func, arg any) {
 	q.n++
 	i := q.alloc(due, seq, fn, arg)
-	if due >= q.topStart {
+	if due > q.topStart {
 		q.link(&q.top, i)
 		q.topLen++
 		return
@@ -207,7 +220,7 @@ func (q *ladderQueue) insert(due Time, seq uint64, fn Func, arg any) {
 	q.route(i, due)
 }
 
-// route places slot i (due before topStart) into the outermost rung
+// route places slot i (due at or before topStart) into the outermost rung
 // whose unconsumed range covers it, or failing all rungs, into bottom.
 func (q *ladderQueue) route(i int32, due Time) {
 	for k := 0; k < q.active; k++ {
@@ -236,10 +249,11 @@ func (q *ladderQueue) route(i int32, due Time) {
 	q.pushBottom(itemNode{due: nd.due, seq: nd.seq, ref: i})
 }
 
-// pushBottom inserts into the sorted working window. The new item
-// carries the largest seq yet issued, so whenever its due is at or
-// past the current last element, a plain append keeps bottom sorted —
-// the O(1) fast path same-instant bursts and in-order arrivals take.
+// pushBottom inserts into the sorted working window. Whenever the new
+// item sorts after the current last element by (due, seq) — as a
+// fresh seq does at or past the last due — a plain append keeps
+// bottom sorted: the O(1) fast path same-instant bursts and in-order
+// arrivals take.
 func (q *ladderQueue) pushBottom(it itemNode) {
 	if len(q.bottom) == q.botIdx {
 		q.bottom = append(q.bottom[:0], it)
@@ -255,7 +269,7 @@ func (q *ladderQueue) pushBottom(it itemNode) {
 		q.bottom = q.bottom[:copy(q.bottom, q.bottom[q.botIdx:])]
 		q.botIdx = 0
 	}
-	if it.due >= q.bottom[len(q.bottom)-1].due {
+	if compareItems(it, q.bottom[len(q.bottom)-1]) > 0 {
 		q.bottom = append(q.bottom, it)
 		return
 	}
@@ -267,12 +281,11 @@ func (q *ladderQueue) pushBottom(it itemNode) {
 		q.route(it.ref, it.due)
 		return
 	}
-	// First live index whose due exceeds the item's. Pending seqs are
-	// all smaller, so this is the (due, seq) upper bound.
+	// First live index that sorts after the item by (due, seq).
 	lo, hi := q.botIdx, len(q.bottom)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if q.bottom[mid].due > it.due {
+		if compareItems(q.bottom[mid], it) > 0 {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -356,7 +369,7 @@ func (q *ladderQueue) listRange(head int32) (minD, maxD Time) {
 	return minD, maxD
 }
 
-// drainToBottom empties the FIFO into bottom in link (seq) order,
+// drainToBottom empties the FIFO into bottom in link order,
 // sorting only when the items are not already in (due, seq) order. A
 // bucket holding one same-instant burst — or any run linked in
 // nondecreasing due order — transfers without a sort.
@@ -490,12 +503,10 @@ func (q *ladderQueue) take(i int32) event {
 // storage; dst is caller-owned scratch. The refill check and cursor
 // advance are done once per run instead of once per event.
 //
-// A run can end before the instant does: a due-T event pushed after
-// topStart rose to T lands in top, behind the bottom run, and a
-// later call returns it. Its seq is larger than the run's, so
-// repeated calls still yield pop order; a caller merging other
-// sources at T (the calendar's lanes) must keep taking runs while the
-// head is still due at T.
+// The run is the bottom window's; should the instant continue past
+// it, a later call returns the rest, so a caller merging other sources
+// at T (the calendar's lanes) keeps taking runs while the head is
+// still due at T.
 func (q *ladderQueue) popWavefront(dst []event) []event {
 	if q.n == 0 {
 		panic("sim: pop from empty calendar")

@@ -104,12 +104,42 @@ func (s *Simulator) AtCall(t Time, fn Func, arg any) {
 	if t == s.now {
 		lane = 0
 	}
-	s.schedule(t, lane, fn, arg)
+	s.schedule(t, s.nextSeq, lane, fn, arg)
+	s.nextSeq++
 }
 
-// schedule checks and pushes a record due at t onto calendar lane
-// lane (noLane: the ladder).
-func (s *Simulator) schedule(t Time, lane int, fn Func, arg any) {
+// ReserveSeqs reserves n consecutive sequence numbers and returns the
+// first. A record pushed later under one of them with AtCallSeq fires
+// exactly where a record pushed now would: (due, seq) order is all
+// the calendar knows. So a model that would push a run of future
+// records at once can keep only one of them pending, each pushing the
+// next.
+func (s *Simulator) ReserveSeqs(n int) uint64 {
+	first := s.nextSeq
+	s.nextSeq += uint64(n)
+	return first
+}
+
+// AtCallSeq schedules the action record (fn, arg) to run at absolute
+// time t under seq, a sequence number ReserveSeqs handed out and no
+// record has used yet. A record due at the running instant must carry
+// a seq reserved while the running record executes, so it still sorts
+// after the rest of the running batch; a chain of records each
+// pushing the next at a later instant can use any reservation.
+func (s *Simulator) AtCallSeq(t Time, seq uint64, fn Func, arg any) {
+	if seq >= s.nextSeq {
+		panic(fmt.Sprintf("sim: AtCallSeq with unreserved seq %d", seq))
+	}
+	lane := tailLane
+	if t == s.now {
+		lane = 0
+	}
+	s.schedule(t, seq, lane, fn, arg)
+}
+
+// schedule checks and pushes the record (t, seq, fn, arg) onto
+// calendar lane lane (noLane: the ladder).
+func (s *Simulator) schedule(t Time, seq uint64, lane int, fn Func, arg any) {
 	if fn == nil {
 		panic("sim: nil event function scheduled")
 	}
@@ -125,8 +155,7 @@ func (s *Simulator) schedule(t Time, lane int, fn Func, arg any) {
 	if math.IsNaN(t) {
 		panic("sim: scheduling at NaN")
 	}
-	s.queue.push(lane, t, s.nextSeq, fn, arg)
-	s.nextSeq++
+	s.queue.push(lane, t, seq, fn, arg)
 }
 
 // AfterCall schedules the action record (fn, arg) to run delay time
@@ -136,10 +165,14 @@ func (s *Simulator) AfterCall(delay Time, fn Func, arg any) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	s.schedule(s.now+delay, s.queue.laneFor(delay), fn, arg)
+	s.schedule(s.now+delay, s.nextSeq, s.queue.laneFor(delay), fn, arg)
+	s.nextSeq++
 }
 
-// Pending reports the number of events waiting on the calendar.
+// Pending reports the number of records waiting on the calendar. A
+// record can stand for more than one model event: it may fold several
+// same-instant actions (see AddFired), and a chain pushed under
+// reserved seqs (see AtCallSeq) keeps only its next record pending.
 func (s *Simulator) Pending() int { return s.queue.n }
 
 // Stop ends the simulation: the running Run/RunUntil loop exits after
@@ -187,8 +220,8 @@ func (s *Simulator) RunUntil(horizon Time) error {
 // drain is the batched loop behind Run and RunUntil. Each iteration
 // pops the front equal-due run in one calendar sweep and executes it
 // front to back: the run comes back in (due, seq) order, events an
-// executing body schedules carry seqs larger than everything in the
-// run, and a Stop mid-batch hands the unexecuted remainder back to the
+// executing body schedules at the running instant carry seqs larger
+// than everything in the run (see AtCallSeq), and a Stop mid-batch hands the unexecuted remainder back to the
 // calendar — so the observable schedule is bit-for-bit what repeated
 // Step calls produce, only the calendar round trips are amortized.
 func (s *Simulator) drain(horizon Time) {
