@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/topology"
 )
 
 func main() {
@@ -187,6 +188,9 @@ func buildTopo(kind, spec string, store wormsim.StoreMode) (*wormsim.Mesh, error
 		}
 		dims = append(dims, v)
 		nodes *= v
+	}
+	if err := topology.CheckDims(dims); err != nil {
+		return nil, err
 	}
 	implicit := store.LazyFor(nodes)
 	switch strings.ToLower(kind) {

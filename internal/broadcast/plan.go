@@ -13,6 +13,7 @@ package broadcast
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/core"
@@ -177,7 +178,9 @@ func (p *Plan) index() []int32 {
 	// Counting scatter by source, stable: dst[i] is the slot send i
 	// moves to. start[v] serves as node v's cursor, which leaves it
 	// holding start[v+1]; the copy shifts the offsets back.
-	dst := make([]int32, len(p.Sends))
+	buf := getScratch(len(p.Sends))
+	defer scratch.Put(buf)
+	dst := *buf
 	for i := range p.Sends {
 		src := p.Sends[i].Path.Source
 		dst[i] = start[src]
@@ -228,11 +231,16 @@ func (p *Plan) Validate(m *topology.Mesh) error {
 	if p.Source < 0 || int(p.Source) >= m.Nodes() {
 		return fmt.Errorf("broadcast: source %d out of range", p.Source)
 	}
+	if p.Steps > math.MaxInt32 {
+		return fmt.Errorf("broadcast: %s plan has %d steps", p.Algorithm, p.Steps)
+	}
 	// informedAt[v] is the earliest step whose sends cover v (0 for
 	// the source, -1 for never). A send is causal exactly when its
 	// source's entry is below its step, whatever order the sends are
 	// checked in.
-	informedAt := make([]int, m.Nodes())
+	buf := getScratch(m.Nodes())
+	defer scratch.Put(buf)
+	informedAt := *buf
 	for i := range informedAt {
 		informedAt[i] = -1
 	}
@@ -246,14 +254,14 @@ func (p *Plan) Validate(m *topology.Mesh) error {
 			return fmt.Errorf("broadcast: %s step %d: %w", p.Algorithm, s.Step, err)
 		}
 		for _, w := range s.Path.Waypoints {
-			if at := informedAt[w]; at < 0 || s.Step < at {
-				informedAt[w] = s.Step
+			if at := informedAt[w]; at < 0 || s.Step < int(at) {
+				informedAt[w] = int32(s.Step)
 			}
 		}
 	}
 	for i := range p.Sends {
 		s := &p.Sends[i]
-		switch at := informedAt[s.Path.Source]; {
+		switch at := int(informedAt[s.Path.Source]); {
 		case at < 0:
 			return fmt.Errorf("broadcast: %s step %d: source %d never receives the message", p.Algorithm, s.Step, s.Path.Source)
 		case at >= s.Step:
@@ -269,6 +277,24 @@ func (p *Plan) Validate(m *topology.Mesh) error {
 	// build the execution index once while still outside any hot loop.
 	p.index()
 	return nil
+}
+
+// scratch pools the int32 buffers of Validate and index, so planning
+// allocates only what the plan keeps.
+var scratch sync.Pool // *[]int32
+
+// getScratch returns a pooled buffer of length n with arbitrary
+// contents; return it with scratch.Put.
+func getScratch(n int) *[]int32 {
+	buf, _ := scratch.Get().(*[]int32)
+	if buf == nil {
+		buf = new([]int32)
+	}
+	if cap(*buf) < n {
+		*buf = make([]int32, n)
+	}
+	*buf = (*buf)[:n]
+	return buf
 }
 
 // MessageCount returns the number of worms the plan injects — the

@@ -18,7 +18,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		{"holder released", func(n *Network, a, _ *worm) { n.lane(a.chans[0]).holder = nil }},
 		{"foreign holder", func(n *Network, a, b *worm) { n.lane(a.chans[0]).holder = b }},
 		{"waiter misnamed", func(_ *Network, a, b *worm) { b.waiting = a.chans[0] }},
-		{"waiter not queued", func(n *Network, _, b *worm) { n.lane(b.waiting).queue.Pop() }},
+		{"waiter not queued", func(n *Network, _, b *worm) { qpop(&n.lane(b.waiting).qtail) }},
 		{"lost completion", func(n *Network, _, _ *worm) { n.finished++ }},
 		{"waiter on dead lane", func(n *Network, _, b *worm) { n.ensureHealth().linkDown[int(b.waiting)/n.vcs] = true }},
 	}

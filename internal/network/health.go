@@ -170,8 +170,8 @@ func (n *Network) kickWaiters(ch topology.ChannelID) {
 			// Untouched lazy lane: nothing ever queued on it.
 			continue
 		}
-		for st.queue.Len() > 0 {
-			w := st.queue.Pop()
+		for st.qtail != nil {
+			w := qpop(&st.qtail)
 			if w.waiting != topology.ChannelID(base+l) {
 				panic("network: queued worm not waiting on this channel")
 			}
@@ -253,11 +253,11 @@ func (n *Network) dropWorm(w *worm) {
 	n.activeRemove(w)
 	n.dropped++
 	n.releasePort(w.t.Source)
-	// w.chans survives intact through the releases (release indexes the
-	// network's channel table, not the worm), so the path-order walk is
-	// safe; putWorm truncates it afterwards.
-	for _, lane := range w.chans {
-		n.release(lane)
+	// w.chans and w.grants survive intact through the releases (release
+	// indexes the network's channel table, not the worm), so the
+	// path-order walk is safe; putWorm truncates them afterwards.
+	for i, lane := range w.chans {
+		n.release(lane, w.grants[i])
 	}
 	if w.t.OnPath != nil {
 		w.t.OnPath(w.path, false)

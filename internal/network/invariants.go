@@ -26,8 +26,11 @@ import (
 // A holder may sit on a dead lane: the fault model is fail-stop at
 // acquisition, so a worm granted a lane before it failed keeps it
 // until its tail passes, and acquire panics on any grant after the
-// failure. The audit walks every allocated lane, so it belongs in
-// tests and probes, never on a hot path.
+// failure. The audit walks the lanes a run can have touched: on a
+// dense network those acquired since New or Reset (a lane no worm
+// ever acquired has no holder and no queue), on a lazy one those of
+// allocated pages. Reset runs it on every drained network, so its
+// cost follows the run, not the topology.
 func (n *Network) CheckInvariants() error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -63,8 +66,13 @@ func (n *Network) CheckInvariants() error {
 				fail("lane %d held by %s, which has not acquired it", lane, w.describe())
 			}
 		}
-		for i := 0; i < st.queue.Len(); i++ {
-			w := st.queue.at(i)
+		// The queue is a ring through qnext (see qpush); a ring longer
+		// than the in-flight list, or one that breaks, is corrupt.
+		for w, steps := st.qtail, 0; w != nil; steps++ {
+			if w = w.qnext; w == nil || steps == n.activeCount {
+				fail("lane %d queue is not a ring of in-flight worms", lane)
+				break
+			}
 			queued++
 			switch {
 			case !active[w]:
@@ -74,6 +82,9 @@ func (n *Network) CheckInvariants() error {
 			case n.laneDead(w.cur, lane):
 				fail("%s waits on dead lane %d", w.describe(), lane)
 			}
+			if w == st.qtail {
+				break
+			}
 		}
 	})
 	if queued != waiting {
@@ -82,13 +93,13 @@ func (n *Network) CheckInvariants() error {
 	return errors.Join(errs...)
 }
 
-// eachLane calls fn for every lane whose state exists: all lanes of a
-// dense network, the lanes of allocated pages of a lazy one (an
-// untouched lane has no holder and no queue).
+// eachLane calls fn for every lane a run can have touched: the
+// touched list of a dense network, the lanes of allocated pages of a
+// lazy one.
 func (n *Network) eachLane(fn func(topology.ChannelID, *channelState)) {
 	if n.lazy == nil {
-		for i := range n.channels {
-			fn(topology.ChannelID(i), &n.channels[i])
+		for _, l := range n.touched {
+			fn(topology.ChannelID(l), &n.channels[l])
 		}
 		return
 	}

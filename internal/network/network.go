@@ -18,6 +18,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -194,22 +195,63 @@ type Network struct {
 	// advance hands to ChannelAppender selectors.
 	hopScratch []routing.Hop
 
-	// Occupancy accounting (see statistics.go).
-	busyTime  []sim.Time
-	busySince []sim.Time
-	acquires  []uint64
-	slab      []Transfer // AllocTransfers' current chunk; Reset rewinds it
-	slabRun   int        // transfers handed out since the last Reset
+	// touched lists, in first-acquire order, every lane of the dense
+	// store acquired since New or Reset: the lanes Reset wipes and
+	// CheckInvariants scans. New bounds a dense store's lanes to int32.
+	touched []int32
+
+	slab    []Transfer // AllocTransfers' current chunk; Reset rewinds it
+	slabRun int        // transfers handed out since the last Reset
 }
 
+// channelState is one lane's slot, 32 bytes: its holder, the tail of
+// its wait queue, and its occupancy counters (see statistics.go).
 type channelState struct {
-	holder *worm
-	queue  wormRing
+	holder   *worm
+	qtail    *worm
+	busyTime sim.Time
+	acquires uint64
 }
 
+// portState is one node's injection ports: how many are in use and
+// the tail of the queue of worms waiting for one.
 type portState struct {
 	inUse int
-	queue wormRing
+	qtail *worm
+}
+
+// Wait queues are intrusive circular FIFOs. A lane or port holds only
+// its queue's tail; each queued worm links to the next through qnext,
+// and the tail links back to the head. A worm waits on at most one
+// lane or port at a time, so one link per worm suffices: a queue costs
+// its owner one pointer and never allocates.
+
+// qpush appends w to the queue whose tail is *tail.
+func qpush(tail **worm, w *worm) {
+	if t := *tail; t == nil {
+		w.qnext = w
+	} else {
+		w.qnext = t.qnext
+		t.qnext = w
+	}
+	*tail = w
+}
+
+// qpop removes and returns the head of the queue whose tail is *tail,
+// clearing its link so a dequeued worm references no other.
+func qpop(tail **worm) *worm {
+	t := *tail
+	if t == nil {
+		panic("network: pop from empty wait queue")
+	}
+	h := t.qnext
+	if h == t {
+		*tail = nil
+	} else {
+		t.qnext = h.qnext
+	}
+	h.qnext = nil
+	return h
 }
 
 // New builds a network over topo driven by s. For mesh topologies a
@@ -224,11 +266,11 @@ func New(s *sim.Simulator, topo topology.Topology, cfg Config) (*Network, error)
 	if cfg.Store.LazyFor(topo.Nodes()) {
 		n.lazy = newLazyStore(lanes, topo.Nodes())
 	} else {
+		if lanes > math.MaxInt32 {
+			return nil, fmt.Errorf("network: %d lanes exceed a dense store; use the lazy store", lanes)
+		}
 		n.channels = make([]channelState, lanes)
 		n.ports = make([]portState, topo.Nodes())
-		n.busyTime = make([]sim.Time, lanes)
-		n.busySince = make([]sim.Time, lanes)
-		n.acquires = make([]uint64, lanes)
 	}
 	if m, ok := topo.(*topology.Mesh); ok {
 		if m.HasWrapLinks() && n.vcs > 1 {

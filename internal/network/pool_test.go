@@ -10,16 +10,16 @@ import (
 // TestWaitQueuesBoundedUnderSustainedContention is the regression
 // test for the seed's FIFO retention bug: release()/grantPort()
 // drained waiters with queue = queue[1:], pinning every drained worm
-// in the backing array's dead head. After a long saturated run every
-// wait queue must be fully drained, hold no references to retired
-// worms, and sit at a capacity bounded by its high-water mark — not
-// by the total number of worms that ever queued.
+// in the backing array's dead head. The queues are now intrusive
+// rings, so after a long saturated run every lane and port must hold
+// no queue tail, and no worm that waited may still link to another.
 func TestWaitQueuesBoundedUnderSustainedContention(t *testing.T) {
 	s := sim.New()
 	m := topology.NewMesh(4, 1)
 	n := MustNew(s, m, DefaultConfig())
 	const waves, perWave = 60, 8
 	delivered := 0
+	var queuedWorms []*worm // every worm seen in a queue, retained past its retirement
 	at := sim.Time(0)
 	for wave := 0; wave < waves; wave++ {
 		// Each wave floods the line's shared channels from two
@@ -35,6 +35,13 @@ func TestWaitQueuesBoundedUnderSustainedContention(t *testing.T) {
 				})
 			}
 		}
+		s.At(at+DefaultConfig().Ts+0.5, func() {
+			for w := n.activeHead; w != nil; w = w.activeNext {
+				if w.qnext != nil {
+					queuedWorms = append(queuedWorms, w)
+				}
+			}
+		})
 		at += 2 * perWave * (DefaultConfig().Ts + 40*0.003 + 1)
 	}
 	s.Run()
@@ -44,29 +51,23 @@ func TestWaitQueuesBoundedUnderSustainedContention(t *testing.T) {
 	if n.InFlight() != 0 {
 		t.Fatalf("%d worms still in flight", n.InFlight())
 	}
-	checkRing := func(kind string, idx int, q *wormRing) {
-		t.Helper()
-		if q.Len() != 0 {
-			t.Errorf("%s %d queue not drained: %d left", kind, idx, q.Len())
-		}
-		for slot, w := range q.buf {
-			if w != nil {
-				t.Errorf("%s %d slot %d retains a drained worm", kind, idx, slot)
-			}
-		}
-		// perWave worms per source with two sources: no queue can
-		// ever hold more than one wave, so capacity must stay at the
-		// first wave's power-of-two high-water, not grow with the
-		// 60-wave total.
-		if q.Cap() > 2*perWave*2 {
-			t.Errorf("%s %d queue capacity %d outlived the high-water mark", kind, idx, q.Cap())
-		}
+	if len(queuedWorms) == 0 {
+		t.Fatal("no worm ever queued: the workload does not contend")
 	}
 	for i := range n.channels {
-		checkRing("channel", i, &n.channels[i].queue)
+		if n.channels[i].qtail != nil {
+			t.Errorf("channel %d queue not drained", i)
+		}
 	}
 	for i := range n.ports {
-		checkRing("port", i, &n.ports[i].queue)
+		if n.ports[i].qtail != nil {
+			t.Errorf("port %d queue not drained", i)
+		}
+	}
+	for _, w := range queuedWorms {
+		if w.qnext != nil {
+			t.Fatal("a worm that waited still links into a queue")
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -32,10 +33,21 @@ func (n *Network) fits(m *topology.Mesh, cfg Config) bool {
 	return n.topo == topology.Topology(m) && n.vcs == cfg.vcs() && (n.lazy != nil) == cfg.Store.LazyFor(m.Nodes())
 }
 
-// Release pools n and its simulator, reset, unless Reset refuses n.
-// The caller must not use either afterwards.
+// refusals counts, process-wide, the Release calls whose Reset
+// refused the network.
+var refusals atomic.Uint64
+
+// ReleaseRefusals returns how many Release calls in this process found
+// their network not drained or not consistent, and dropped it instead
+// of pooling it. A run that drains its network never adds to it.
+func ReleaseRefusals() uint64 { return refusals.Load() }
+
+// Release pools n and its simulator, reset, unless Reset refuses n;
+// a refusal is counted (ReleaseRefusals). The caller must not use
+// either afterwards.
 func (n *Network) Release() {
 	if n.Reset() != nil {
+		refusals.Add(1)
 		return
 	}
 	n.sim.Reset()
@@ -45,7 +57,9 @@ func (n *Network) Release() {
 // Reset returns a drained network, not its simulator, to the state New
 // leaves it in, every link and node alive, keeping grown storage except
 // a lazy store's pages. It refuses, changing nothing, a network with
-// parked or in-flight worms; otherwise it returns CheckInvariants.
+// parked or in-flight worms or one that fails CheckInvariants, which
+// it runs on the drained state before wiping it. A dense store wipes
+// only the lanes the run touched.
 func (n *Network) Reset() error {
 	switch {
 	case len(n.parked) > 0:
@@ -53,16 +67,18 @@ func (n *Network) Reset() error {
 	case n.activeCount > 0:
 		return fmt.Errorf("network: reset with %d worms in flight", n.activeCount)
 	}
+	if err := n.CheckInvariants(); err != nil {
+		return err
+	}
 	n.health = nil
 	if n.lazy != nil {
 		n.lazy = newLazyStore(n.lanes, n.topo.Nodes())
 	} else {
-		for i := range n.ports {
-			n.ports[i].inUse = 0
+		for _, l := range n.touched {
+			n.channels[l] = channelState{}
 		}
-		clear(n.busyTime)
-		clear(n.busySince)
-		clear(n.acquires)
+		n.touched = n.touched[:0]
+		clear(n.ports)
 	}
 	n.injected, n.finished, n.dropped = 0, 0, 0
 	if n.slabRun > cap(n.slab) {
@@ -72,7 +88,7 @@ func (n *Network) Reset() error {
 		n.slab = n.slab[:0]
 	}
 	n.slabRun = 0
-	return n.CheckInvariants()
+	return nil
 }
 
 // AllocTransfers returns k zeroed Transfers from the network's slab,

@@ -212,6 +212,78 @@ func TestResetRefuses(t *testing.T) {
 	}
 }
 
+// TestResetChecksDrainedState: Reset audits the drained run before it
+// wipes it, so a broken counter identity or a lane left held makes it
+// refuse, changing nothing, and Release counts the refusal.
+func TestResetChecksDrainedState(t *testing.T) {
+	m := topology.NewMesh(4, 4)
+	cases := []struct {
+		name    string
+		store   StoreMode
+		corrupt func(n *Network)
+		want    string
+	}{
+		{"finished bumped", StoreDense, func(n *Network) { n.finished++ }, "injected"},
+		{"lane left held on a lazy network", StoreLazy, func(n *Network) {
+			n.lane(topology.ChannelID(5)).holder = &worm{}
+		}, "not in flight"},
+	}
+	for _, c := range cases {
+		cfg := DefaultConfig()
+		cfg.Store = c.store
+		n := MustNew(sim.New(), m, cfg)
+		recycleLoad(n, m, 3)
+		n.sim.Run()
+		if n.InFlight() != 0 || n.Finished() == 0 {
+			t.Fatalf("%s: setup did not drain a run", c.name)
+		}
+		if err := n.Reset(); err != nil {
+			t.Fatalf("%s: drained run refused: %v", c.name, err)
+		}
+		n.sim.Reset()
+		recycleLoad(n, m, 4)
+		n.sim.Run()
+		c.corrupt(n)
+		inj, fin := n.Injected(), n.Finished()
+		_, pages := n.LazyStore()
+		err := n.Reset()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Reset returned %v, want an error naming %q", c.name, err, c.want)
+		}
+		if _, p := n.LazyStore(); n.Injected() != inj || n.Finished() != fin || p != pages {
+			t.Errorf("%s: refused Reset changed the network", c.name)
+		}
+		before := ReleaseRefusals()
+		n.Release()
+		if got := ReleaseRefusals(); got != before+1 {
+			t.Errorf("%s: refusals went from %d to %d, want one more", c.name, before, got)
+		}
+	}
+}
+
+// TestResetWipesTouchedLanes: a dense Reset clears exactly the lanes
+// its run acquired, which leaves every lane as New made it.
+func TestResetWipesTouchedLanes(t *testing.T) {
+	m := topology.NewMesh(6, 6)
+	n := MustNew(sim.New(), m, DefaultConfig())
+	recycleLoad(n, m, 5)
+	n.sim.Run()
+	if len(n.touched) == 0 {
+		t.Fatal("a run recorded no touched lanes")
+	}
+	if err := n.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if len(n.touched) != 0 {
+		t.Errorf("Reset kept %d touched lanes", len(n.touched))
+	}
+	for i := range n.channels {
+		if n.channels[i] != (channelState{}) {
+			t.Fatalf("lane %d not wiped: %+v", i, n.channels[i])
+		}
+	}
+}
+
 // TestAllocTransfersDoNotAlias: transfers handed out earlier are never
 // handed out again before Reset, even once a chunk fills; Reset
 // rewinds the slab to zeroed entries, in one chunk that fits the

@@ -2,75 +2,56 @@ package network
 
 import "testing"
 
+// TestRingFIFOAcrossWrap pushes and pops in overlapping waves,
+// so the ring's head and tail chase each other through every length
+// from empty to five, and checks strict FIFO order.
 func TestRingFIFOAcrossWrap(t *testing.T) {
-	var r wormRing
+	var tail *worm
 	worms := make([]*worm, 40)
 	for i := range worms {
 		worms[i] = &worm{}
 	}
-	// Push/pop in overlapping waves so the window wraps the buffer
-	// repeatedly.
 	next, out := 0, 0
 	for out < len(worms) {
 		for next < len(worms) && next-out < 5 {
-			r.Push(worms[next])
+			qpush(&tail, worms[next])
 			next++
 		}
-		if got := r.Pop(); got != worms[out] {
+		if got := qpop(&tail); got != worms[out] {
 			t.Fatalf("pop %d returned the wrong worm", out)
 		}
 		out++
 	}
-	if r.Len() != 0 {
-		t.Fatalf("ring not drained: %d left", r.Len())
+	if tail != nil {
+		t.Fatal("queue not drained")
 	}
 }
 
-// TestRingReleasesPoppedSlots pins the memory-retention fix: a popped
-// worm must not stay referenced by the ring's backing array, unlike
-// the seed's queue[1:] slices which pinned every popped entry in the
-// dead head until a lucky reallocation.
+// TestRingReleasesPoppedSlots pins the no-retention property: a popped
+// worm links to no other worm, so a drained queue references nothing,
+// unlike the seed's queue[1:] slices, which pinned every popped entry.
 func TestRingReleasesPoppedSlots(t *testing.T) {
-	var r wormRing
-	for i := 0; i < 20; i++ {
-		r.Push(&worm{})
-		r.Pop()
+	var tail *worm
+	ws := []*worm{{}, {}, {}}
+	for _, w := range ws {
+		qpush(&tail, w)
 	}
-	if r.Len() != 0 {
-		t.Fatalf("ring should be empty, has %d", r.Len())
-	}
-	for i, w := range r.buf {
-		if w != nil {
-			t.Fatalf("slot %d still references a popped worm", i)
+	for range ws {
+		if w := qpop(&tail); w.qnext != nil {
+			t.Fatal("a popped worm still links into the queue")
 		}
 	}
-}
-
-// TestRingCapacityTracksHighWater: sustained traffic through a ring
-// leaves its storage at the (power-of-two rounded) high-water mark,
-// never growing with total throughput.
-func TestRingCapacityTracksHighWater(t *testing.T) {
-	var r wormRing
-	w := &worm{}
-	for wave := 0; wave < 1000; wave++ {
-		for i := 0; i < 11; i++ { // high water 11 -> capacity 16
-			r.Push(w)
-		}
-		for i := 0; i < 11; i++ {
-			r.Pop()
-		}
-	}
-	if r.Cap() != 16 {
-		t.Fatalf("capacity = %d after 1000 waves of 11, want 16", r.Cap())
+	if tail != nil {
+		t.Fatal("an emptied queue keeps its tail")
 	}
 }
 
 func TestRingPopEmptyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("pop from empty ring did not panic")
+			t.Error("pop from an empty queue did not panic")
 		}
 	}()
-	var r wormRing
-	r.Pop()
+	var tail *worm
+	qpop(&tail)
 }

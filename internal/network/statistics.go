@@ -38,41 +38,15 @@ func (c ChannelStats) Utilization(now sim.Time) float64 {
 	return u
 }
 
-// noteAcquire records the moment a channel lane is granted.
-func (n *Network) noteAcquire(lane topology.ChannelID) {
-	if n.lazy == nil {
-		n.busySince[lane] = n.sim.Now()
-		n.acquires[lane]++
-		return
-	}
-	// The lane's page exists: acquire writes the holder before the
-	// note, and the counters live in the same page.
-	p := n.lazy.lanePageFor(int(lane))
-	p.busySince[int(lane)&pageMask] = n.sim.Now()
-	p.acquires[int(lane)&pageMask]++
-}
-
-// noteRelease accumulates the busy interval that just ended.
-func (n *Network) noteRelease(lane topology.ChannelID) {
-	if n.lazy == nil {
-		n.busyTime[lane] += n.sim.Now() - n.busySince[lane]
-		return
-	}
-	p := n.lazy.lanePageFor(int(lane))
-	p.busyTime[int(lane)&pageMask] += n.sim.Now() - p.busySince[int(lane)&pageMask]
-}
-
 // laneBusy returns one lane's accumulated busy time and acquire
 // count; an untouched lazy lane reports zeros without allocating.
+// acquire counts a grant and release adds the interval since it.
 func (n *Network) laneBusy(l int) (sim.Time, uint64) {
-	if n.lazy == nil {
-		return n.busyTime[l], n.acquires[l]
-	}
-	p := n.lazy.lanePages[l>>pageBits]
-	if p == nil {
+	st := n.laneIfTouched(topology.ChannelID(l))
+	if st == nil {
 		return 0, 0
 	}
-	return p.busyTime[l&pageMask], p.acquires[l&pageMask]
+	return st.busyTime, st.acquires
 }
 
 // ChannelStatsFor returns the occupancy record of one physical
@@ -127,8 +101,8 @@ func (n *Network) MeanUtilization() float64 {
 	total := sim.Time(0)
 	used := 0
 	if n.lazy == nil {
-		for _, busy := range n.busyTime {
-			if busy > 0 {
+		for i := range n.channels {
+			if busy := n.channels[i].busyTime; busy > 0 {
 				total += busy
 				used++
 			}
@@ -140,8 +114,8 @@ func (n *Network) MeanUtilization() float64 {
 			if p == nil {
 				continue
 			}
-			for _, busy := range p.busyTime {
-				if busy > 0 {
+			for i := range p.ch {
+				if busy := p.ch[i].busyTime; busy > 0 {
 					total += busy
 					used++
 				}

@@ -20,20 +20,44 @@ func TestChannelOccupancyAccounting(t *testing.T) {
 	s.Run()
 
 	cfg := n.Config()
-	// Channel 0 (hop 0): held from Ts until the tail clears it at
-	// tdone - 2β.
-	ch := m.Channel(m.ID(0, 0), m.ID(1, 0))
-	st := n.ChannelStatsFor(ch)
-	if st.Acquires != 1 {
-		t.Fatalf("acquires = %d", st.Acquires)
-	}
+	// Hop i is granted at Ts + i·β and released when the tail clears
+	// it at tdone - (2-i)·β.
 	tdone := cfg.Ts + 3*cfg.Beta + 100*cfg.Beta
-	wantBusy := (tdone - 2*cfg.Beta) - cfg.Ts
-	if math.Abs(st.BusyTime-wantBusy) > 1e-9 {
-		t.Fatalf("busy = %v, want %v", st.BusyTime, wantBusy)
+	for i := 0; i < 3; i++ {
+		st := n.ChannelStatsFor(m.Channel(m.ID(i, 0), m.ID(i+1, 0)))
+		if st.Acquires != 1 {
+			t.Fatalf("hop %d: acquires = %d", i, st.Acquires)
+		}
+		wantBusy := (tdone - float64(2-i)*cfg.Beta) - (cfg.Ts + float64(i)*cfg.Beta)
+		if math.Abs(st.BusyTime-wantBusy) > 1e-9 {
+			t.Fatalf("hop %d: busy = %v, want %v", i, st.BusyTime, wantBusy)
+		}
+		if u := st.Utilization(s.Now()); u <= 0 || u > 1 {
+			t.Fatalf("hop %d: utilization = %v", i, u)
+		}
 	}
-	if u := st.Utilization(s.Now()); u <= 0 || u > 1 {
-		t.Fatalf("utilization = %v", u)
+}
+
+// TestDroppedWormOccupancy: a dropped worm releases every lane it held
+// at the drop instant, so hop i counts busy from its grant at
+// Ts + i·β until then.
+func TestDroppedWormOccupancy(t *testing.T) {
+	s := sim.New()
+	m := topology.NewMesh(4, 1)
+	n := MustNew(s, m, DefaultConfig())
+	n.FailLink(m.Channel(m.ID(2, 0), m.ID(3, 0)))
+	n.MustSend(0, &Transfer{Source: m.ID(0, 0), Waypoints: []topology.NodeID{m.ID(3, 0)}, Length: 100})
+	s.Run()
+	if n.Dropped() != 1 {
+		t.Fatalf("dropped %d worms, want 1", n.Dropped())
+	}
+	cfg := n.Config()
+	drop := cfg.Ts + 2*cfg.Beta // the header reaches (2,0) and finds its only hop dead
+	for i := 0; i < 2; i++ {
+		st := n.ChannelStatsFor(m.Channel(m.ID(i, 0), m.ID(i+1, 0)))
+		if want := drop - (cfg.Ts + float64(i)*cfg.Beta); st.Acquires != 1 || math.Abs(st.BusyTime-want) > 1e-9 {
+			t.Errorf("hop %d: %d acquires busy %v, want 1 busy %v", i, st.Acquires, st.BusyTime, want)
+		}
 	}
 }
 

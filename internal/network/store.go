@@ -1,14 +1,11 @@
 package network
 
-import (
-	"repro/internal/sim"
-	"repro/internal/topology"
-)
+import "repro/internal/topology"
 
-// Storage model. The network's mutable state — one channelState per
-// virtual-channel lane, one portState per node, and the per-lane
-// occupancy counters — is indexed the same way in both modes, but
-// lives in one of two stores:
+// Storage model. The network's mutable state — one 32-byte
+// channelState per virtual-channel lane (holder, queue tail and
+// occupancy counters) and one portState per node — is indexed the same
+// way in both modes, but lives in one of two stores:
 //
 //   - dense: flat slices sized lanes/nodes up front, exactly the
 //     pre-PR-7 layout. Every access is a direct index; pristine runs
@@ -73,14 +70,9 @@ const (
 	pageMask = pageSize - 1
 )
 
-// lanePage co-locates a page of lane state with the same lanes'
-// occupancy counters, so an acquire touches one page, not four
-// parallel tables.
+// lanePage is a page of lane slots, 16 KiB.
 type lanePage struct {
-	ch        [pageSize]channelState
-	busyTime  [pageSize]sim.Time
-	busySince [pageSize]sim.Time
-	acquires  [pageSize]uint64
+	ch [pageSize]channelState
 }
 
 type portPage struct {

@@ -27,12 +27,13 @@ type worm struct {
 	cur     topology.NodeID
 	wpIdx   int // next waypoint to reach
 	path    []topology.NodeID
-	grants  []sim.Time           // grant time per hop (channel i = path[i]->path[i+1])
+	grants  []sim.Time           // grant time per hop (channel i = path[i]->path[i+1]); release's busy-interval start
 	chans   []topology.ChannelID // acquired channel LANES in order (channel·vcs + vc)
 	deliver []int                // hop index (1-based node position) per waypoint
 	relCur  int                  // next entry of chans to release (drain tail)
 	delCur  int                  // next entry of deliver to fire (drain tail)
 	waiting topology.ChannelID   // channel lane whose queue the worm sits in, or -1
+	qnext   *worm                // next worm of the lane or port wait queue it sits in (see qpush)
 	started sim.Time             // injection request time
 	portAt  sim.Time             // port grant time
 	tcomp   sim.Time             // completion time: the header reached the last waypoint
@@ -74,12 +75,12 @@ func (w *worm) describe() string {
 // pooled worm keeps whatever larger capacity it grew to.
 const wormSliceCap = 16
 
-// wormPool is the process-wide worm free pool. It used to be a
-// per-network free list, but studies build a fresh network each —
-// a sweep or a saturation benchmark pays the full worm allocation
-// ramp-up on every run. putWorm clears every reference a worm holds,
-// so recycling across networks is safe, and sync.Pool's per-P caches
-// keep Get/Put off any shared lock.
+// wormPool is the process-wide worm free pool. Pooled networks
+// (Acquire) change hands between studies and goroutines, so a
+// per-network free list would strand warm worms with whichever network
+// the pool hands out next. putWorm clears every reference a worm
+// holds, so recycling across networks is safe, and sync.Pool's per-P
+// caches keep Get/Put off any shared lock.
 var wormPool = sync.Pool{New: func() any {
 	return &worm{
 		path:    make([]topology.NodeID, 0, wormSliceCap),
@@ -192,7 +193,7 @@ func tailEvent(s *sim.Simulator, arg any) {
 	for w.relCur < last && !s.Stopped() {
 		i := w.relCur
 		w.relCur++
-		n.release(w.chans[i])
+		n.release(w.chans[i], w.grants[i])
 		ran++
 	}
 	if w.t.OnDeliver != nil {
@@ -278,7 +279,7 @@ func (n *Network) requestPort(w *worm) {
 		n.grantPort(w)
 		return
 	}
-	p.queue.Push(w)
+	qpush(&p.qtail, w)
 }
 
 // grantPort starts the startup latency; afterwards the header begins
@@ -292,8 +293,8 @@ func (n *Network) grantPort(w *worm) {
 // queued worm, if any.
 func (n *Network) releasePort(node topology.NodeID) {
 	p := n.port(node)
-	if p.queue.Len() > 0 {
-		n.grantPort(p.queue.Pop())
+	if p.qtail != nil {
+		n.grantPort(qpop(&p.qtail))
 		return
 	}
 	p.inUse--
@@ -389,7 +390,7 @@ func (n *Network) advance(w *worm) {
 		lo, _ := n.laneRange(w, cand, dst)
 		lane := topology.ChannelID(int(ch)*n.vcs + lo)
 		w.waiting = lane
-		n.lane(lane).queue.Push(w)
+		qpush(&n.lane(lane).qtail, w)
 		return
 	}
 	n.acquire(w, pick, pickLane)
@@ -433,7 +434,7 @@ func (n *Network) advanceChannels(w *worm, dst topology.NodeID, h *healthState) 
 	lo, _ := n.laneRange(w, cand, dst)
 	lane := topology.ChannelID(int(ch)*n.vcs + lo)
 	w.waiting = lane
-	n.lane(lane).queue.Push(w)
+	qpush(&n.lane(lane).qtail, w)
 }
 
 // laneRange returns the half-open lane range [lo, hi) within one
@@ -471,8 +472,11 @@ func (n *Network) acquire(w *worm, next topology.NodeID, ch topology.ChannelID) 
 		}
 	}
 	st.holder = w
+	if st.acquires == 0 && n.lazy == nil {
+		n.touched = append(n.touched, int32(ch))
+	}
+	st.acquires++
 	now := n.sim.Now()
-	n.noteAcquire(ch)
 	w.waiting = topology.InvalidChannel
 	w.grants = append(w.grants, now)
 	w.chans = append(w.chans, ch)
@@ -481,20 +485,23 @@ func (n *Network) acquire(w *worm, next topology.NodeID, ch topology.ChannelID) 
 	n.sim.AfterCall(n.hop, advanceEvent, w)
 }
 
-// release frees channel ch and grants it to the head of its queue.
-func (n *Network) release(ch topology.ChannelID) {
+// release frees channel ch, which its holder was granted at since,
+// adds the busy interval to the lane's occupancy, and grants the lane
+// to the head of its queue. The holder's grants entry for the lane is
+// since: acquire records it from the same clock reading.
+func (n *Network) release(ch topology.ChannelID, since sim.Time) {
 	st := n.lane(ch)
 	if st.holder == nil {
 		panic("network: releasing a free channel")
 	}
 	st.holder = nil
-	n.noteRelease(ch)
+	st.busyTime += n.sim.Now() - since
 	// Keep admitting waiters until one takes the channel or the queue
 	// empties: an adaptive worm at the head may grab a different free
 	// channel when re-routed, and the waiters behind it must not be
 	// stranded on a free channel.
-	for st.holder == nil && st.queue.Len() > 0 {
-		next := st.queue.Pop()
+	for st.holder == nil && st.qtail != nil {
+		next := qpop(&st.qtail)
 		if next.waiting != ch {
 			panic("network: queued worm not waiting on this channel")
 		}

@@ -180,6 +180,10 @@ func TestValidateRejectsContradictorySpecs(t *testing.T) {
 		{Workload: scenario.Contended, Metric: scenario.MetricCoverage},
 		{Workload: scenario.Contended, Metric: scenario.MetricInflation, Axis: scenario.AxisFaults, Xs: []float64{2, 4}},
 		{Workload: scenario.Contended, Axis: scenario.AxisFaults, Artifact: scenario.ArtifactTable1},
+		// Shapes the mesh constructors panic on: a zero extent, and
+		// more nodes than the division-free coordinates handle exactly.
+		{Workload: scenario.Uncontended, Axis: scenario.AxisLength, Dims: []int{0, 4}, Xs: []float64{16}},
+		{Workload: scenario.Uncontended, Axis: scenario.AxisSize, Sizes: [][]int{{4, 4}, {1 << 16, 1 << 16}}},
 	}
 	for i, spec := range bad {
 		if _, err := scenario.Run(context.Background(), spec); err == nil {

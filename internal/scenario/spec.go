@@ -419,8 +419,18 @@ func (s *Spec) validate() error {
 		if len(s.Sizes) == 0 {
 			return fmt.Errorf("scenario %s: size axis with no sizes", s.Name)
 		}
-	} else if len(s.Xs) == 0 && s.Axis != AxisSubstrate {
-		return fmt.Errorf("scenario %s: axis %q with no sweep values", s.Name, s.Axis)
+		for _, dims := range s.Sizes {
+			if err := topology.CheckDims(dims); err != nil {
+				return fmt.Errorf("scenario %s: size %v: %w", s.Name, dims, err)
+			}
+		}
+	} else {
+		if len(s.Xs) == 0 && s.Axis != AxisSubstrate {
+			return fmt.Errorf("scenario %s: axis %q with no sweep values", s.Name, s.Axis)
+		}
+		if err := topology.CheckDims(s.Dims); err != nil {
+			return fmt.Errorf("scenario %s: dims %v: %w", s.Name, s.Dims, err)
+		}
 	}
 	if s.Axis == AxisVCs {
 		// The run loop truncates x to an int and the network treats 0

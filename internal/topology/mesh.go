@@ -8,6 +8,7 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 )
@@ -66,6 +67,7 @@ func AppendNeighborsOf(t Topology, id NodeID, buf []NodeID) []NodeID {
 type Mesh struct {
 	dims    []int
 	strides []int
+	axes    []axis // per-dimension reciprocals for CoordAxis and Step
 	n       int
 	wrap    bool
 	// implicit suppresses the materialized adjacency table: neighbors
@@ -107,22 +109,46 @@ func NewMeshImplicit(dims ...int) *Mesh { return newMesh(false, true, dims) }
 // NewMeshImplicit.
 func NewTorusImplicit(dims ...int) *Mesh { return newMesh(true, true, dims) }
 
-func newMesh(wrap, implicit bool, dims []int) *Mesh {
+// MaxNodes bounds a mesh's node count. Below 2^32 every node ID,
+// stride and extent is an operand the multiply-shift division of
+// CoordAxis and Step handles exactly.
+const MaxNodes = 1<<32 - 1
+
+// CheckDims reports why dims cannot shape a mesh: no dimensions, an
+// extent below 1, or more than MaxNodes nodes. The mesh constructors
+// panic on exactly these shapes.
+func CheckDims(dims []int) error {
 	if len(dims) == 0 {
-		panic("topology: mesh needs at least one dimension")
+		return fmt.Errorf("topology: mesh needs at least one dimension")
+	}
+	n := 1
+	for d, k := range dims {
+		if k < 1 {
+			return fmt.Errorf("topology: dimension %d has extent %d", d, k)
+		}
+		if k > MaxNodes/n {
+			return fmt.Errorf("topology: mesh %v has more than %d nodes", dims, MaxNodes)
+		}
+		n *= k
+	}
+	return nil
+}
+
+func newMesh(wrap, implicit bool, dims []int) *Mesh {
+	if err := CheckDims(dims); err != nil {
+		panic(err.Error())
 	}
 	m := &Mesh{
 		dims:     append([]int(nil), dims...),
 		strides:  make([]int, len(dims)),
+		axes:     make([]axis, len(dims)),
 		n:        1,
 		wrap:     wrap,
 		implicit: implicit,
 	}
 	for d, k := range dims {
-		if k < 1 {
-			panic(fmt.Sprintf("topology: dimension %d has extent %d", d, k))
-		}
 		m.strides[d] = m.n
+		m.axes[d] = axis{strideInv: reciprocal(m.n), dimInv: reciprocal(k), dim: uint64(k)}
 		m.n *= k
 	}
 	if !implicit {
@@ -149,7 +175,7 @@ func (m *Mesh) AppendNeighbors(id NodeID, buf []NodeID) []NodeID {
 		panic(fmt.Sprintf("topology: node %d out of range [0,%d)", v, m.n))
 	}
 	for d, k := range m.dims {
-		c := (v / m.strides[d]) % k
+		c := m.CoordAxis(id, d)
 		wrapD := m.wrap && k >= 3
 		if c+1 < k {
 			buf = append(buf, id+NodeID(m.strides[d]))
@@ -272,15 +298,35 @@ func (m *Mesh) CoordInto(id NodeID, buf []int) {
 	if v < 0 || v >= m.n {
 		panic(fmt.Sprintf("topology: node %d out of range [0,%d)", v, m.n))
 	}
-	for d, k := range m.dims {
-		buf[d] = v % k
-		v /= k
+	for d := range m.dims {
+		buf[d] = m.CoordAxis(id, d)
 	}
 }
 
-// CoordAxis returns coordinate d of node id without allocating.
+// axis holds one dimension's extent and the reciprocals of its stride
+// and extent.
+type axis struct {
+	strideInv, dimInv, dim uint64
+}
+
+// reciprocal returns Lemire's 64-bit reciprocal ⌊(2^64−1)/d⌋ + 1 of
+// d ≥ 1 (fastdiv/fastmod, arXiv 1902.01961): for all a, d < 2^32,
+// a/d is the high word of a·r and a%d the high word of (a·r mod 2^64)·d.
+// For d = 1 the sum wraps to 0, which CoordAxis reads as "no division".
+func reciprocal(d int) uint64 { return ^uint64(0)/uint64(d) + 1 }
+
+// CoordAxis returns coordinate d of node id, (id / stride) % extent,
+// without allocating or dividing: one 128-bit product for the quotient
+// (none for stride 1) and two multiplies for the remainder, all exact
+// under the MaxNodes bound.
 func (m *Mesh) CoordAxis(id NodeID, d int) int {
-	return (int(id) / m.strides[d]) % m.dims[d]
+	a := &m.axes[d]
+	q := uint64(id)
+	if a.strideInv != 0 {
+		q, _ = bits.Mul64(q, a.strideInv)
+	}
+	c, _ := bits.Mul64(q*a.dimInv, a.dim)
+	return int(c)
 }
 
 // Adjacent returns the neighbors of node id. The slice is shared; do
@@ -300,10 +346,15 @@ func (m *Mesh) Adjacent(id NodeID) []NodeID {
 // allocate, which matters to routing functions on the simulation's
 // innermost loop. It panics if the move leaves the mesh.
 func (m *Mesh) Step(id NodeID, d, delta int) NodeID {
-	c := (int(id) / m.strides[d]) % m.dims[d]
+	c := m.CoordAxis(id, d)
 	nc := c + delta
-	if m.wrap && m.dims[d] >= 3 {
-		nc = (nc + m.dims[d]) % m.dims[d]
+	if k := m.dims[d]; m.wrap && k >= 3 {
+		// One step leaves the ring by at most one position either way.
+		if nc < 0 {
+			nc += k
+		} else if nc >= k {
+			nc -= k
+		}
 	}
 	if nc < 0 || nc >= m.dims[d] {
 		panic(fmt.Sprintf("topology: step %+d leaves dim %d of %s from node %d", delta, d, m.Name(), id))

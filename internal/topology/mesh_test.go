@@ -153,6 +153,7 @@ func TestMeshPanicsOnBadInput(t *testing.T) {
 		func() { NewMesh(4).ID(5) },
 		func() { NewMesh(4).ID(1, 1) },
 		func() { NewMesh(4, 4).Coord(NodeID(99)) },
+		func() { NewMeshImplicit(1<<16, 1<<16) }, // 2^32 nodes, one past MaxNodes
 	}
 	for i, fn := range cases {
 		func() {
@@ -330,4 +331,76 @@ func TestNearestCornerInPlane(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCheckDims: the shapes CheckDims rejects are exactly the ones the
+// constructors panic on, and the node bound is MaxNodes, checked
+// without overflowing.
+func TestCheckDims(t *testing.T) {
+	for _, dims := range [][]int{{4}, {16, 16, 16}, {1 << 16, 1<<16 - 1}, {MaxNodes}} {
+		if err := CheckDims(dims); err != nil {
+			t.Errorf("%v rejected: %v", dims, err)
+		}
+	}
+	for _, dims := range [][]int{nil, {0, 4}, {4, -1}, {1 << 16, 1 << 16}, {MaxNodes, 2}, {1 << 40, 1 << 40}} {
+		if CheckDims(dims) == nil {
+			t.Errorf("%v accepted", dims)
+		}
+	}
+}
+
+// TestCoordAxisAndStepMatchDivision pins the multiply-shift
+// arithmetic: on every node of meshes and tori with extents 1, 2, 3
+// and 16 and mixed shapes, CoordAxis equals (id / stride) % extent,
+// and Step equals the same step computed with / and %.
+func TestCoordAxisAndStepMatchDivision(t *testing.T) {
+	shapes := [][]int{
+		{1}, {2}, {3}, {16}, {1, 1}, {1, 3}, {3, 1}, {2, 2}, {3, 3}, {16, 16},
+		{1, 2, 3}, {3, 2, 1}, {16, 1, 3}, {2, 16, 3}, {16, 16, 16}, {5, 7, 9}, {3, 1, 2, 16},
+	}
+	for _, dims := range shapes {
+		for _, m := range []*Mesh{NewMesh(dims...), NewTorus(dims...)} {
+			checkArithmetic(t, m, func(visit func(id int)) {
+				for id := 0; id < m.Nodes(); id++ {
+					visit(id)
+				}
+			})
+		}
+	}
+	// The 2^20-node implicit mesh of the million-node figure, on
+	// sampled nodes including both ends.
+	for _, m := range []*Mesh{NewMeshImplicit(128, 128, 64), NewTorusImplicit(128, 128, 64)} {
+		checkArithmetic(t, m, func(visit func(id int)) {
+			for id := 0; id < m.Nodes(); id += 997 {
+				visit(id)
+			}
+			visit(m.Nodes() - 1)
+		})
+	}
+}
+
+func checkArithmetic(t *testing.T, m *Mesh, nodes func(visit func(id int))) {
+	t.Helper()
+	nodes(func(id int) {
+		for d := 0; d < m.NDims(); d++ {
+			k := m.Dim(d)
+			c := (id / m.strides[d]) % k
+			if got := m.CoordAxis(NodeID(id), d); got != c {
+				t.Fatalf("%s: CoordAxis(%d, %d) = %d, want %d", m.Name(), id, d, got, c)
+			}
+			for _, delta := range []int{+1, -1} {
+				nc := c + delta
+				if m.WrapDim(d) {
+					nc = (nc + k) % k
+				}
+				if nc < 0 || nc >= k {
+					continue // Step panics off the mesh edge
+				}
+				want := NodeID(id + (nc-c)*m.strides[d])
+				if got := m.Step(NodeID(id), d, delta); got != want {
+					t.Fatalf("%s: Step(%d, %d, %+d) = %d, want %d", m.Name(), id, d, delta, got, want)
+				}
+			}
+		}
+	})
 }
