@@ -118,19 +118,21 @@ func TestFaultedStudyAllocationBudget(t *testing.T) {
 }
 
 // The ceilings sit at most a quarter above the warm costs measured on
-// linux/amd64 with Go 1.24 (RunSingle bundle about 510 allocs and
-// 1.34 MB, saturation bundle about 3,350 allocs and 5.40 MB), and the
-// faulted study's about a third above its cost (about 410 allocs and
-// 200 KB). Pooled validation scratch took about 170 KB off the first
-// bundle and 870 KB off the second. With a fresh network per run and
+// linux/amd64 with Go 1.24 (RunSingle bundle about 290 allocs and
+// 1.21 MB, saturation bundle about 3,050–3,700 allocs and 5.30–5.50
+// MB), and the faulted study's about a third above its cost (about
+// 410 allocs and 200 KB). Pooled validation scratch took about 170 KB
+// off the first bundle and 870 KB off the second; worms that carry
+// one held-lane slice and record no path took about 220 allocs and
+// 130 KB off the first. With a fresh network per run and
 // the process-wide plan cache, the first two bundles cost 11,924
 // allocs and 12.3 MB, and 5,984 allocs and 8.2 MB; a faulted study
 // whose network is never recycled costs about 1,560 allocs and 3.0 MB.
 const (
-	runSingleBundleAllocs  = 630
-	runSingleBundleBytes   = 1_650_000
+	runSingleBundleAllocs  = 365
+	runSingleBundleBytes   = 1_500_000
 	saturationBundleAllocs = 4_150
-	saturationBundleBytes  = 6_700_000
+	saturationBundleBytes  = 6_600_000
 	faultedStudyAllocs     = 550
 	faultedStudyBytes      = 270_000
 )

@@ -15,12 +15,13 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		name    string
 		corrupt func(n *Network, a, b *worm)
 	}{
-		{"holder released", func(n *Network, a, _ *worm) { n.lane(a.chans[0]).holder = nil }},
-		{"foreign holder", func(n *Network, a, b *worm) { n.lane(a.chans[0]).holder = b }},
-		{"waiter misnamed", func(_ *Network, a, b *worm) { b.waiting = a.chans[0] }},
+		{"holder released", func(n *Network, a, _ *worm) { n.lane(a.held[0].lane).holder = nil }},
+		{"foreign holder", func(n *Network, a, b *worm) { n.lane(a.held[0].lane).holder = b }},
+		{"waiter misnamed", func(_ *Network, a, b *worm) { b.waiting = a.held[0].lane }},
 		{"waiter not queued", func(n *Network, _, b *worm) { qpop(&n.lane(b.waiting).qtail) }},
 		{"lost completion", func(n *Network, _, _ *worm) { n.finished++ }},
 		{"waiter on dead lane", func(n *Network, _, b *worm) { n.ensureHealth().linkDown[int(b.waiting)/n.vcs] = true }},
+		{"port oversubscribed", func(n *Network, a, _ *worm) { n.port(a.t.Source).inUse = n.nports + 1 }},
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
@@ -31,7 +32,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 				t.Fatal(err)
 			}
 			b, a := n.activeHead, n.activeHead.activeNext
-			if b.waiting == topology.InvalidChannel || len(a.chans) < 2 {
+			if b.waiting == topology.InvalidChannel || len(a.held) < 2 {
 				t.Fatalf("setup: want A holding and B queued, got %v", n.Stuck())
 			}
 			if err := n.CheckInvariants(); err != nil {

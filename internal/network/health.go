@@ -253,11 +253,11 @@ func (n *Network) dropWorm(w *worm) {
 	n.activeRemove(w)
 	n.dropped++
 	n.releasePort(w.t.Source)
-	// w.chans and w.grants survive intact through the releases (release
-	// indexes the network's channel table, not the worm), so the
-	// path-order walk is safe; putWorm truncates them afterwards.
-	for i, lane := range w.chans {
-		n.release(lane, w.grants[i])
+	// w.held survives intact through the releases (release indexes the
+	// network's lane table, not the worm), so the path-order walk is
+	// safe; putWorm truncates it afterwards.
+	for _, h := range w.held {
+		n.release(h)
 	}
 	if w.t.OnPath != nil {
 		w.t.OnPath(w.path, false)

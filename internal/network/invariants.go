@@ -13,7 +13,7 @@ import (
 // must hold that:
 //
 //   - every lane holder is an in-flight worm whose unreleased acquired
-//     lanes (chans[relCur:]) include that lane, and every such lane of
+//     lanes (held[relCur:]) include that lane, and every such lane of
 //     an in-flight worm is held by it;
 //   - every worm queued on a lane is in flight and names that lane in
 //     its waiting field, and every in-flight worm that names a lane
@@ -21,7 +21,10 @@ import (
 //   - no worm waits on a lane of a dead channel or a lane out of a
 //     dead node (fault kicks drain those queues, and advance never
 //     queues on a dead hop);
-//   - Injected() == Finished() + Dropped() + InFlight().
+//   - Injected() == Finished() + Dropped() + InFlight();
+//   - no node has more injection ports in use than it has, and a
+//     drained network (nothing in flight) has every port idle with an
+//     empty queue.
 //
 // A holder may sit on a dead lane: the fault model is fail-stop at
 // acquisition, so a worm granted a lane before it failed keeps it
@@ -30,7 +33,8 @@ import (
 // dense network those acquired since New or Reset (a lane no worm
 // ever acquired has no holder and no queue), on a lazy one those of
 // allocated pages. Reset runs it on every drained network, so its
-// cost follows the run, not the topology.
+// lane scan follows the run, not the topology; the port scan costs
+// what Reset's port wipe used to.
 func (n *Network) CheckInvariants() error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -44,9 +48,9 @@ func (n *Network) CheckInvariants() error {
 		if w.waiting != topology.InvalidChannel {
 			waiting++
 		}
-		for _, lane := range w.chans[w.relCur:] {
-			if h := n.laneIfTouched(lane); h == nil || h.holder != w {
-				fail("%s: acquired lane %d is not held by it", w.describe(), lane)
+		for _, h := range w.held[w.relCur:] {
+			if st := n.laneIfTouched(h.lane); st == nil || st.holder != w {
+				fail("%s: acquired lane %d is not held by it", w.describe(), h.lane)
 			}
 		}
 	}
@@ -58,11 +62,11 @@ func (n *Network) CheckInvariants() error {
 	}
 
 	queued := 0
-	n.eachLane(func(lane topology.ChannelID, st *channelState) {
+	n.eachBusyLane(func(lane topology.ChannelID, st *channelState) {
 		if w := st.holder; w != nil {
 			if !active[w] {
 				fail("lane %d held by a worm that is not in flight", lane)
-			} else if !slices.Contains(w.chans[w.relCur:], lane) {
+			} else if !slices.ContainsFunc(w.held[w.relCur:], func(h hold) bool { return h.lane == lane }) {
 				fail("lane %d held by %s, which has not acquired it", lane, w.describe())
 			}
 		}
@@ -90,16 +94,29 @@ func (n *Network) CheckInvariants() error {
 	if queued != waiting {
 		fail("%d worms are queued on lanes but %d in-flight worms are waiting", queued, waiting)
 	}
+
+	n.eachBusyPort(func(node topology.NodeID, p *portState) {
+		switch {
+		case p.inUse < 0 || p.inUse > n.nports:
+			fail("node %d has %d of its %d injection ports in use", node, p.inUse, n.nports)
+		case n.activeCount == 0:
+			fail("drained network: node %d has %d injection ports in use, queue empty %t", node, p.inUse, p.qtail == nil)
+		}
+	})
 	return errors.Join(errs...)
 }
 
-// eachLane calls fn for every lane a run can have touched: the
-// touched list of a dense network, the lanes of allocated pages of a
-// lazy one.
-func (n *Network) eachLane(fn func(topology.ChannelID, *channelState)) {
+// eachBusyLane calls fn for every lane that is held or queued on,
+// among those a run can have touched: the touched list of a dense
+// network, the lanes of allocated pages of a lazy one. A free lane
+// with an empty queue is consistent in any state, so on a drained
+// network fn never runs.
+func (n *Network) eachBusyLane(fn func(topology.ChannelID, *channelState)) {
 	if n.lazy == nil {
 		for _, l := range n.touched {
-			fn(topology.ChannelID(l), &n.channels[l])
+			if st := &n.channels[l]; st.holder != nil || st.qtail != nil {
+				fn(topology.ChannelID(l), st)
+			}
 		}
 		return
 	}
@@ -108,8 +125,33 @@ func (n *Network) eachLane(fn func(topology.ChannelID, *channelState)) {
 			continue
 		}
 		for i := range page.ch {
-			if lane := p<<pageBits + i; lane < n.lanes {
-				fn(topology.ChannelID(lane), &page.ch[i])
+			if st := &page.ch[i]; st.holder != nil || st.qtail != nil {
+				fn(topology.ChannelID(p<<pageBits+i), st)
+			}
+		}
+	}
+}
+
+// eachBusyPort calls fn for every node whose injection ports are in
+// use or queued on, scanning every node of a dense network and the
+// allocated pages of a lazy one. An idle port with an empty queue is
+// consistent in any state, so on a drained network fn never runs.
+func (n *Network) eachBusyPort(fn func(topology.NodeID, *portState)) {
+	if n.lazy == nil {
+		for i := range n.ports {
+			if p := &n.ports[i]; *p != (portState{}) {
+				fn(topology.NodeID(i), p)
+			}
+		}
+		return
+	}
+	for pg, page := range n.lazy.portPages {
+		if page == nil {
+			continue
+		}
+		for i := range page.ports {
+			if p := &page.ports[i]; *p != (portState{}) {
+				fn(topology.NodeID(pg<<pageBits+i), p)
 			}
 		}
 	}

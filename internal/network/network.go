@@ -135,9 +135,11 @@ type Transfer struct {
 	OnDrop func(at sim.Time)
 	// OnPath, if set, fires once when the worm retires — drained or
 	// dropped — with the node sequence its header traversed and
-	// whether the worm delivered. The slice is only valid during the
-	// call (the worm recycles); copy it to retain it. The robustness
-	// suite uses this to audit realized routes against fault sets.
+	// whether the worm delivered. The network records that sequence
+	// only for transfers that set OnPath. The slice is only valid
+	// during the call (the worm recycles); copy it to retain it. The
+	// robustness suite uses this to audit realized routes against
+	// fault sets.
 	OnPath func(path []topology.NodeID, delivered bool)
 	// Tag is free-form labelling for tracing and debugging.
 	Tag string
@@ -185,14 +187,10 @@ type Network struct {
 	parked   []*worm
 	dropped  uint64
 
-	// candScratch is the reusable next-hop candidate buffer advance
-	// hands to HopAppender selectors. Safe to share across worms: each
+	// hopScratch is the reusable candidate buffer advance hands to
+	// ChannelAppender selectors. Safe to share across worms: each
 	// advance call fully consumes the candidates before anything else
 	// can route.
-	candScratch []topology.NodeID
-
-	// hopScratch is candScratch's channel-resolved twin: the buffer
-	// advance hands to ChannelAppender selectors.
 	hopScratch []routing.Hop
 
 	// touched lists, in first-acquire order, every lane of the dense

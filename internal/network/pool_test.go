@@ -111,10 +111,11 @@ func TestUnicastHotPathAllocationBudget(t *testing.T) {
 
 // TestWormPoolRecyclesCleanly checks the pooled-object lifecycle at
 // the unit level: putWorm must return a worm to the process-wide pool
-// with empty per-hop state, no reference to its previous Transfer or
-// network, and its grown slice capacity intact. The test retains the
-// pointer across putWorm — the reset happens in place, so the
-// invariant is checkable without depending on sync.Pool internals.
+// with empty per-hop state, no path, no reference to its previous
+// Transfer or network, and its grown held and deliver capacity intact.
+// The test retains the pointer across putWorm — the reset happens in
+// place, so the invariant is checkable without depending on sync.Pool
+// internals.
 func TestWormPoolRecyclesCleanly(t *testing.T) {
 	s := sim.New()
 	m := topology.NewMesh(4, 4)
@@ -123,24 +124,22 @@ func TestWormPoolRecyclesCleanly(t *testing.T) {
 	w.net = n
 	w.t = &Transfer{Source: m.ID(0, 0), Waypoints: []topology.NodeID{m.ID(3, 3)}, Length: 16}
 	w.cur = m.ID(1, 1)
-	w.wpIdx = 1
 	w.path = append(w.path, m.ID(0, 0), m.ID(1, 0))
-	w.grants = append(w.grants, 1, 2)
-	w.chans = append(w.chans, 3, 4)
+	w.held = append(w.held, hold{3, 1}, hold{4, 2})
 	w.deliver = append(w.deliver, 2)
 	w.relCur, w.delCur = 1, 1
-	wantCap := cap(w.path)
+	wantCap := cap(w.held)
 	n.putWorm(w)
 	if w.t != nil || w.net != nil {
 		t.Error("recycled worm retains its transfer or network")
 	}
-	if len(w.path) != 0 || len(w.chans) != 0 || len(w.grants) != 0 || len(w.deliver) != 0 {
+	if len(w.held) != 0 || len(w.deliver) != 0 || w.path != nil {
 		t.Error("recycled worm retains per-hop state")
 	}
 	if w.relCur != 0 || w.delCur != 0 {
 		t.Error("recycled worm retains drain cursors")
 	}
-	if cap(w.path) != wantCap || cap(w.chans) == 0 {
+	if cap(w.held) != wantCap || cap(w.deliver) == 0 {
 		t.Error("recycled worm lost its slice capacity")
 	}
 	if w.waiting != topology.InvalidChannel {

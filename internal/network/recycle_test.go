@@ -213,8 +213,9 @@ func TestResetRefuses(t *testing.T) {
 }
 
 // TestResetChecksDrainedState: Reset audits the drained run before it
-// wipes it, so a broken counter identity or a lane left held makes it
-// refuse, changing nothing, and Release counts the refusal.
+// wipes it, so a broken counter identity, a lane left held or a port
+// left in use makes it refuse, changing nothing, and Release counts
+// the refusal.
 func TestResetChecksDrainedState(t *testing.T) {
 	m := topology.NewMesh(4, 4)
 	cases := []struct {
@@ -227,6 +228,15 @@ func TestResetChecksDrainedState(t *testing.T) {
 		{"lane left held on a lazy network", StoreLazy, func(n *Network) {
 			n.lane(topology.ChannelID(5)).holder = &worm{}
 		}, "not in flight"},
+		{"port left in use on a dense network", StoreDense, func(n *Network) {
+			n.port(m.ID(1, 2)).inUse++
+		}, "injection ports in use"},
+		{"port left in use on a lazy network", StoreLazy, func(n *Network) {
+			n.port(m.ID(3, 3)).inUse++
+		}, "injection ports in use"},
+		{"port queue left behind", StoreDense, func(n *Network) {
+			qpush(&n.port(m.ID(0, 1)).qtail, &worm{})
+		}, "queue empty false"},
 	}
 	for _, c := range cases {
 		cfg := DefaultConfig()

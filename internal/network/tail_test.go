@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -82,10 +83,13 @@ func checkTail(t *testing.T, hops, length int, every bool) {
 		OnDeliver: func(_ topology.NodeID, at sim.Time) { gotDel = append(gotDel, at) },
 		OnDone:    func(at sim.Time) { gotDone = at },
 	}
-	// B leaves the source northwards, sharing no channel with A.
-	bGrant := sim.Time(-1)
-	b := &Transfer{Source: m.ID(0, 0), Waypoints: []topology.NodeID{m.ID(0, 1)}, Length: 4}
-	b.OnDeliver = func(topology.NodeID, sim.Time) { bGrant = activeWorm(n, b).portAt }
+	// B leaves the source northwards, sharing no channel with A. Its
+	// header first routes Ts after B is granted the port; its delivery
+	// hook makes the delivery a model event.
+	bRouted := sim.Time(-1)
+	b := &Transfer{Source: m.ID(0, 0), Waypoints: []topology.NodeID{m.ID(0, 1)}, Length: 4,
+		Selector:  routeClock{routing.NewDOR(m), s, &bRouted},
+		OnDeliver: func(topology.NodeID, sim.Time) {}}
 	n.MustSend(0, a)
 	n.MustSend(0, b)
 	// Step to A's completion: the record that completes the header
@@ -130,8 +134,8 @@ func checkTail(t *testing.T, hops, length int, every bool) {
 	if len(gotDel) != len(wps) {
 		t.Errorf("%d deliveries fired, want %d", len(gotDel), len(wps))
 	}
-	if want := tail(hops - 1); bGrant != want {
-		t.Errorf("queued worm granted the port at %v, want %v", bGrant, want)
+	if want := tail(hops-1) + cfg.Ts; bRouted != want {
+		t.Errorf("queued worm first routed at %v, want its port at %v plus Ts", bRouted, tail(hops-1))
 	}
 	if gotDone != tdone {
 		t.Errorf("done at %v, want %v", gotDone, tdone)
@@ -305,4 +309,20 @@ func checkStopInsideTail(t *testing.T, length int) {
 	if s.Pending() != 1 {
 		t.Errorf("stopped draining worm left %d records pending, want 1", s.Pending())
 	}
+}
+
+// routeClock is a selector that records when a worm's header first
+// asks it for a route. It offers only the plain Selector methods, so
+// the network routes it through NextHops.
+type routeClock struct {
+	routing.Selector
+	s  *sim.Simulator
+	at *sim.Time
+}
+
+func (r routeClock) NextHops(cur, dst topology.NodeID) []topology.NodeID {
+	if *r.at < 0 {
+		*r.at = r.s.Now()
+	}
+	return r.Selector.NextHops(cur, dst)
 }

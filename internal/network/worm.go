@@ -25,19 +25,16 @@ type worm struct {
 	t   *Transfer
 
 	cur     topology.NodeID
-	wpIdx   int // next waypoint to reach
-	path    []topology.NodeID
-	grants  []sim.Time           // grant time per hop (channel i = path[i]->path[i+1]); release's busy-interval start
-	chans   []topology.ChannelID // acquired channel LANES in order (channel·vcs + vc)
-	deliver []int                // hop index (1-based node position) per waypoint
-	relCur  int                  // next entry of chans to release (drain tail)
-	delCur  int                  // next entry of deliver to fire (drain tail)
-	waiting topology.ChannelID   // channel lane whose queue the worm sits in, or -1
-	qnext   *worm                // next worm of the lane or port wait queue it sits in (see qpush)
-	started sim.Time             // injection request time
-	portAt  sim.Time             // port grant time
-	tcomp   sim.Time             // completion time: the header reached the last waypoint
-	tailSeq uint64               // first of the hops seqs reserved for the drain tail
+	dst     topology.NodeID    // the next waypoint to reach, t.Waypoints[len(deliver)]
+	path    []topology.NodeID  // header's node sequence; nil unless t.OnPath is set (see Send)
+	held    []hold             // acquired lanes in order, one per hop, each with its grant time
+	deliver []int32            // hop index (1-based node position) per waypoint reached so far
+	relCur  int                // next entry of held to release (drain tail)
+	delCur  int                // next entry of deliver to fire (drain tail)
+	waiting topology.ChannelID // channel lane whose queue the worm sits in, or -1
+	qnext   *worm              // next worm of the lane or port wait queue it sits in (see qpush)
+	tcomp   sim.Time           // completion time: the header reached the last waypoint
+	tailSeq uint64             // first of the hops seqs reserved for the drain tail
 
 	// parkToken is non-nil while the worm is parked awaiting a fault
 	// recovery; it guards the park-timeout calendar record (see
@@ -49,15 +46,11 @@ type worm struct {
 	// one VC, so the single-VC hot path never pays the assertion.
 	vcPol routing.VCPolicy
 
-	// sel is the worm's routing function (the transfer's, or the
-	// network default), with its fast-path interfaces resolved once at
-	// Send instead of once per advance: chApp is the channel-resolved
-	// form every in-package selector offers, hopApp the node-only
-	// append form, either nil when unimplemented. advance consults
-	// chApp, then hopApp, then plain NextHops.
-	sel    routing.Selector
-	chApp  routing.ChannelAppender
-	hopApp routing.HopAppender
+	// chApp is the worm's routing function (the transfer's, or the
+	// network default) in its channel-resolved form, resolved once at
+	// Send; nil for a transfer's selector that does not offer it,
+	// which advance then asks through NextHops.
+	chApp routing.ChannelAppender
 
 	// activePrev/activeNext thread the network's in-flight list: an
 	// intrusive doubly-linked list replaces the old map[*worm]bool,
@@ -65,14 +58,23 @@ type worm struct {
 	activePrev, activeNext *worm
 }
 
-func (w *worm) describe() string {
-	return fmt.Sprintf("worm %q src=%d cur=%d wp=%d/%d hops=%d waiting=%d",
-		w.t.Tag, w.t.Source, w.cur, w.wpIdx, len(w.t.Waypoints), len(w.chans), w.waiting)
+// hold is one lane a worm acquired and the instant it was granted,
+// from which release adds the lane's busy interval.
+type hold struct {
+	lane  topology.ChannelID // channel·vcs + vc
+	grant sim.Time
 }
 
-// wormSliceCap pre-sizes a fresh worm's per-hop slices: deep enough
-// for a typical coded-path traversal of the paper's meshes, and a
-// pooled worm keeps whatever larger capacity it grew to.
+func (w *worm) describe() string {
+	return fmt.Sprintf("worm %q src=%d cur=%d wp=%d/%d hops=%d waiting=%d",
+		w.t.Tag, w.t.Source, w.cur, len(w.deliver), len(w.t.Waypoints), len(w.held), w.waiting)
+}
+
+// wormSliceCap pre-sizes a fresh worm's held and deliver slices: deep
+// enough for a typical coded-path traversal of the paper's meshes, and
+// a pooled worm keeps whatever larger capacity they grew to. The path
+// is not pooled: only a transfer with OnPath, which is rare, records
+// one, and putWorm drops it.
 const wormSliceCap = 16
 
 // wormPool is the process-wide worm free pool. Pooled networks
@@ -83,10 +85,8 @@ const wormSliceCap = 16
 // caches keep Get/Put off any shared lock.
 var wormPool = sync.Pool{New: func() any {
 	return &worm{
-		path:    make([]topology.NodeID, 0, wormSliceCap),
-		grants:  make([]sim.Time, 0, wormSliceCap),
-		chans:   make([]topology.ChannelID, 0, wormSliceCap),
-		deliver: make([]int, 0, wormSliceCap),
+		held:    make([]hold, 0, wormSliceCap),
+		deliver: make([]int32, 0, wormSliceCap),
 	}
 }}
 
@@ -96,26 +96,24 @@ func (n *Network) getWorm() *worm {
 	return wormPool.Get().(*worm)
 }
 
-// putWorm resets w (dropping its Transfer reference, keeping slice
-// capacity) and returns it to the free pool. Only finishWorm and
-// dropWorm may call it: by then every calendar record referencing w
-// has fired — park timeouts reference a token, not the worm, exactly
-// so a drop cannot race a stale timeout.
+// putWorm resets w (dropping its Transfer reference and path, keeping
+// the held and deliver capacity) and returns it to the free pool. Only
+// finishWorm and dropWorm may call it: by then every calendar record
+// referencing w has fired — park timeouts reference a token, not the
+// worm, exactly so a drop cannot race a stale timeout.
 func (n *Network) putWorm(w *worm) {
 	w.net = nil
 	w.t = nil
-	w.cur = 0
-	w.wpIdx = 0
-	w.path = w.path[:0]
-	w.grants = w.grants[:0]
-	w.chans = w.chans[:0]
+	w.cur, w.dst = 0, 0
+	w.held = w.held[:0]
 	w.deliver = w.deliver[:0]
+	w.path = nil
 	w.relCur, w.delCur = 0, 0
 	w.waiting = topology.InvalidChannel
-	w.started, w.portAt, w.tcomp, w.tailSeq = 0, 0, 0, 0
+	w.tcomp, w.tailSeq = 0, 0
 	w.parkToken = nil
 	w.vcPol = nil
-	w.sel, w.chApp, w.hopApp = nil, nil, nil
+	w.chApp = nil
 	w.activePrev, w.activeNext = nil, nil
 	wormPool.Put(w)
 }
@@ -178,10 +176,10 @@ func tailEvent(s *sim.Simulator, arg any) {
 	w := arg.(*worm)
 	n := w.net
 	now := s.Now()
-	hops := len(w.chans)
+	hops := len(w.held)
 	tdone := tailDone(w.tcomp, w.t.Length, n.beta)
 	first := w.relCur == 0
-	last := w.relCur // this instant releases chans[relCur:last]
+	last := w.relCur // this instant releases held[relCur:last]
 	for last < hops {
 		if at := drainAt(tdone, w.tcomp, hops-1-last, n.beta); at != now {
 			s.AtCallSeq(at, w.tailSeq+uint64(last), tailEvent, w)
@@ -193,11 +191,11 @@ func tailEvent(s *sim.Simulator, arg any) {
 	for w.relCur < last && !s.Stopped() {
 		i := w.relCur
 		w.relCur++
-		n.release(w.chans[i], w.grants[i])
+		n.release(w.held[i])
 		ran++
 	}
 	if w.t.OnDeliver != nil {
-		for w.delCur < len(w.deliver) && !s.Stopped() && drainAt(tdone, w.tcomp, hops-w.deliver[w.delCur], n.beta) == now {
+		for w.delCur < len(w.deliver) && !s.Stopped() && drainAt(tdone, w.tcomp, hops-int(w.deliver[w.delCur]), n.beta) == now {
 			i := w.delCur
 			w.delCur++
 			w.t.OnDeliver(w.t.Waypoints[i], now)
@@ -242,18 +240,18 @@ func (n *Network) Send(start sim.Time, t *Transfer) error {
 	w.net = n
 	w.t = t
 	w.cur = t.Source
-	w.path = append(w.path, t.Source)
+	w.dst = t.Waypoints[0]
+	if t.OnPath != nil {
+		// A non-nil path is acquire's signal to record the header's
+		// nodes; a pooled worm's path is nil (putWorm).
+		w.path = append(w.path, t.Source)
+	}
 	w.waiting = topology.InvalidChannel
-	w.started = start
 	sel := t.Selector
 	if sel == nil {
 		sel = n.dor
 	}
-	w.sel = sel
 	w.chApp, _ = sel.(routing.ChannelAppender)
-	if w.chApp == nil {
-		w.hopApp, _ = sel.(routing.HopAppender)
-	}
 	if n.vcs > 1 {
 		w.vcPol, _ = sel.(routing.VCPolicy)
 	}
@@ -285,7 +283,6 @@ func (n *Network) requestPort(w *worm) {
 // grantPort starts the startup latency; afterwards the header begins
 // to walk.
 func (n *Network) grantPort(w *worm) {
-	w.portAt = n.sim.Now()
 	n.sim.AfterCall(n.cfg.Ts, advanceEvent, w)
 }
 
@@ -307,16 +304,20 @@ func (n *Network) releasePort(node topology.NodeID) {
 // the final waypoint is reached. Called at the moment the header sits
 // at w.cur ready to move.
 func (n *Network) advance(w *worm) {
-	// Record any waypoint hit at the current node.
-	for w.wpIdx < len(w.t.Waypoints) && w.cur == w.t.Waypoints[w.wpIdx] {
-		w.deliver = append(w.deliver, len(w.chans))
-		w.wpIdx++
+	// Record a waypoint hit at the current node. Send rejects a
+	// waypoint equal to its predecessor, so a node is at most one
+	// waypoint in a row; dst caches the next one, and only a hit reads
+	// the transfer.
+	if w.cur == w.dst {
+		w.deliver = append(w.deliver, int32(len(w.held)))
+		if wps := w.t.Waypoints; len(w.deliver) < len(wps) {
+			w.dst = wps[len(w.deliver)]
+		} else {
+			n.complete(w)
+			return
+		}
 	}
-	if w.wpIdx == len(w.t.Waypoints) {
-		n.complete(w)
-		return
-	}
-	dst := w.t.Waypoints[w.wpIdx]
+	dst := w.dst
 	h := n.health
 	if h != nil && h.nodeDown[w.cur] {
 		// The header sits at a node that failed under it: fail-stop.
@@ -327,18 +328,12 @@ func (n *Network) advance(w *worm) {
 		n.advanceChannels(w, dst, h)
 		return
 	}
-	// Foreign selector: route through the node-append path when
-	// offered (cached at Send), else the slice-returning form, and
+	// Foreign selector (a transfer's own: the network default is
+	// channel-resolved): route through the slice-returning form and
 	// resolve each candidate's channel from the endpoint pair. This
 	// path keeps the non-adjacency guard — in-package selectors are
 	// trusted (their coordinate walks cannot emit a non-neighbor).
-	var cands []topology.NodeID
-	if w.hopApp != nil {
-		n.candScratch = w.hopApp.AppendNextHops(n.candScratch[:0], w.cur, dst)
-		cands = n.candScratch
-	} else {
-		cands = w.sel.NextHops(w.cur, dst)
-	}
+	cands := w.t.Selector.NextHops(w.cur, dst)
 	if len(cands) == 0 {
 		panic(fmt.Sprintf("network: no route from %d to %d for %s", w.cur, dst, w.describe()))
 	}
@@ -476,26 +471,26 @@ func (n *Network) acquire(w *worm, next topology.NodeID, ch topology.ChannelID) 
 		n.touched = append(n.touched, int32(ch))
 	}
 	st.acquires++
-	now := n.sim.Now()
 	w.waiting = topology.InvalidChannel
-	w.grants = append(w.grants, now)
-	w.chans = append(w.chans, ch)
-	w.path = append(w.path, next)
+	w.held = append(w.held, hold{ch, n.sim.Now()})
+	if w.path != nil {
+		w.path = append(w.path, next)
+	}
 	w.cur = next
 	n.sim.AfterCall(n.hop, advanceEvent, w)
 }
 
-// release frees channel ch, which its holder was granted at since,
-// adds the busy interval to the lane's occupancy, and grants the lane
-// to the head of its queue. The holder's grants entry for the lane is
-// since: acquire records it from the same clock reading.
-func (n *Network) release(ch topology.ChannelID, since sim.Time) {
+// release frees the lane of h, its holder's entry for it, adds the
+// busy interval since h.grant to the lane's occupancy, and grants the
+// lane to the head of its queue.
+func (n *Network) release(h hold) {
+	ch := h.lane
 	st := n.lane(ch)
 	if st.holder == nil {
 		panic("network: releasing a free channel")
 	}
 	st.holder = nil
-	st.busyTime += n.sim.Now() - since
+	st.busyTime += n.sim.Now() - h.grant
 	// Keep admitting waiters until one takes the channel or the queue
 	// empties: an adaptive worm at the head may grab a different free
 	// channel when re-routed, and the waiters behind it must not be
@@ -517,7 +512,7 @@ func (n *Network) complete(w *worm) {
 	now := n.sim.Now()
 	beta := n.beta
 	tdone := tailDone(now, w.t.Length, beta)
-	hops := len(w.chans)
+	hops := len(w.held)
 
 	// Tail leaves channel i at tdone - (hops-1-i)*Beta: once the last
 	// channel is granted the body streams freely, one flit per Beta

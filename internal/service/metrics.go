@@ -91,6 +91,7 @@ type serviceMetrics struct {
 	misses   atomic.Uint64 // simulations actually executed
 	rejected atomic.Uint64 // 429 backpressure rejections
 	failures atomic.Uint64 // requests answered 4xx/5xx (backpressure aside)
+	panics   atomic.Uint64 // simulations that panicked and were recovered
 
 	hitLatency  histogram // cache-hit request latency
 	missLatency histogram // miss request latency (queue wait + simulation)
@@ -110,6 +111,7 @@ func (m *serviceMetrics) writeProm(w io.Writer, queueDepth, inflight, cacheLen i
 	counter("wormsimd_misses_total", "simulations executed", m.misses.Load())
 	counter("wormsimd_rejected_total", "requests shed with 429 (admission queue full)", m.rejected.Load())
 	counter("wormsimd_failures_total", "requests answered with an error", m.failures.Load())
+	counter("wormsimd_panics_total", "simulations that panicked (answered 500)", m.panics.Load())
 	gauge("wormsimd_queue_depth", "admitted simulations awaiting a worker", queueDepth)
 	gauge("wormsimd_inflight", "simulations currently executing", inflight)
 	gauge("wormsimd_cache_entries", "resident result-cache entries", cacheLen)

@@ -41,6 +41,10 @@ const DefaultSeed = 2005
 // layer maps it to 429 Too Many Requests with a Retry-After hint.
 var ErrBusy = errors.New("service: admission queue full, retry later")
 
+// ErrPanic marks a run whose simulation panicked. The server recovers
+// the panic, answers the request with 500 and keeps serving.
+var ErrPanic = errors.New("service: simulation panicked")
+
 // DefaultCacheBytes is the result cache's default byte budget.
 const DefaultCacheBytes = 64 << 20 // 64 MiB
 
@@ -84,6 +88,10 @@ type Server struct {
 	mu       sync.Mutex
 	cache    *resultCache
 	inflight map[string]*call
+
+	// run executes one admitted miss: scenario.RunTo, which tests
+	// replace to make a miss panic.
+	run func(context.Context, scenario.Spec, ...scenario.Sink) (*scenario.Result, error)
 }
 
 // New returns a started server: its workers are live and Handler can
@@ -105,6 +113,7 @@ func New(cfg Config) *Server {
 		exec:     runner.NewExecutor(pool, cfg.QueueCap),
 		cache:    newResultCache(cfg.CacheBytes),
 		inflight: make(map[string]*call),
+		run:      scenario.RunTo,
 	}
 }
 
@@ -217,7 +226,9 @@ const (
 
 // Run resolves and answers one request. The returned body is shared
 // with the cache — callers must not mutate it. key identifies the
-// resolved spec (format-independent) for response headers and logs.
+// resolved spec (format-independent) for response headers and logs,
+// also when its simulation failed. A simulation that panics fails
+// with ErrPanic.
 func (s *Server) Run(ctx context.Context, req *RunRequest) (body []byte, outcome Outcome, key string, err error) {
 	s.metrics.requests.Add(1)
 	start := time.Now()
@@ -247,11 +258,20 @@ func (s *Server) Run(ctx context.Context, req *RunRequest) (body []byte, outcome
 
 	err = s.exec.Submit(req.Priority, func() {
 		var buf bytes.Buffer
+		var err error
+		// A panic must neither end the executor's worker, and with it
+		// the daemon, nor leave the call's waiters hanging.
+		defer func() {
+			if r := recover(); r != nil {
+				s.metrics.panics.Add(1)
+				err = fmt.Errorf("%w: spec %s: %v", ErrPanic, specKey, r)
+			}
+			s.finish(cacheKey, c, buf.Bytes(), err)
+		}()
 		sink, err := export.NewSink(format, &buf)
 		if err == nil {
-			_, err = scenario.RunTo(context.Background(), spec, sink)
+			_, err = s.run(context.Background(), spec, sink)
 		}
-		s.finish(cacheKey, c, buf.Bytes(), err)
 	})
 	if err != nil {
 		// Shed: resolve the call with the rejection so any waiter
@@ -292,7 +312,7 @@ func (s *Server) wait(ctx context.Context, c *call, start time.Time, outcome Out
 		if !errors.Is(c.err, ErrBusy) {
 			s.metrics.failures.Add(1)
 		}
-		return nil, "", "", c.err
+		return nil, "", specKey, c.err
 	}
 	if outcome == OutcomeMiss {
 		s.metrics.misses.Add(1)
@@ -365,6 +385,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrBusy):
 		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
+		return
+	case errors.Is(err, ErrPanic):
+		w.Header().Set("X-Wormsim-Key", key)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// Client went away; status is cosmetic but 499-style close.
