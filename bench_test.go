@@ -98,8 +98,8 @@ func BenchmarkFig2CoefficientOfVariation(b *testing.B) {
 // study pushed past its knee (40 overlapping 64-flit broadcasts, 2 µs
 // mean inter-arrival) on the 8×8×8 mesh under all four algorithms.
 // Channel contention, wait-queue churn and worm turnover dominate, so
-// allocs/op and ns/op here are the numbers BENCH_*.json tracks across
-// PRs (see cmd/paperbench -benchjson). events/sec reports the raw
+// allocs/op and ns/op here are the numbers the committed BENCH_*.json
+// artifacts recorded across PRs. events/sec reports the raw
 // discrete-event kernel throughput through the same workload. Every
 // iteration plans its broadcasts afresh (there is no plan cache) and
 // runs on the network the previous iteration released.
@@ -125,8 +125,7 @@ func BenchmarkFig2Saturation(b *testing.B) {
 
 // BenchmarkFig2SaturationTorus runs the saturation workload on the
 // wraparound twin of the bench mesh with two dateline VCs — the torus
-// bench phase of BENCH_pr5.json (paperbench -benchtopo torus)
-// measures the same thing.
+// bench phase of BENCH_pr5.json recorded the same thing.
 func BenchmarkFig2SaturationTorus(b *testing.B) {
 	m := wormsim.NewTorus(wormsim.SaturationDims()...)
 	for _, algo := range wormsim.Algorithms() {

@@ -12,49 +12,9 @@
 // and renders the results.
 //
 // The -cpuprofile and -memprofile flags write standard pprof
-// profiles of the whole run, exactly as `go test` would.
-//
-// Benchmark flags (the perf-trajectory workflow; see EXPERIMENTS.md):
-//
-//	-benchjson FILE    run the Fig. 2 saturation-load benchmark under
-//	                   all four algorithms and merge ns/op, allocs/op,
-//	                   B/op and events/sec into FILE (skips figures)
-//	-benchphase NAME   phase label recorded in FILE; pairs measured in
-//	                   one artifact get a computed summary ("ladder" vs
-//	                   "torus", or "baseline" vs "optimized"); "heap"
-//	                   is refused — it names phases of the retired
-//	                   binary-heap calendar in committed artifacts
-//	-benchtime D       per-algorithm duration, as for go test (1s, 5x)
-//	-benchtopo T       workload topology: mesh (default) or torus (the
-//	                   wraparound twin with two dateline VCs, recorded
-//	                   as the "torus" phase)
-//	-benchworkload W   what to measure: saturation (default, the
-//	                   trajectory above) or scale — one 64-destination
-//	                   multicast on the 2^20-node mesh, recorded under
-//	                   -benchphase dense or lazy so one artifact
-//	                   carries both substrate memory models and a
-//	                   bytes/op reduction summary
-//	-benchguard FILE   offline regression gate: compare FILE's best
-//	                   phase against -benchbaseline's and fail if any
-//	                   algorithm lost events/sec or gained allocs/op
-//	                   beyond -benchtol (no benchmarks are run);
-//	                   -benchguardmode alloc swaps the machine-bound
-//	                   events/sec floor for a bytes/op ceiling, so
-//	                   fresh measurements can be guarded against
-//	                   committed artifacts on any machine
-//
-// The committed trajectory: BENCH_pr2.json (baseline vs optimized,
-// both on the since-retired heap calendar) and BENCH_pr4.json (heap vs
-// ladder). New phases are recorded and guarded with
-//
-//	paperbench -benchjson BENCH_new.json -benchphase ladder
-//	paperbench -benchguard BENCH_pr4.json -benchbaseline BENCH_pr2.json
-//
-// BENCH_pr9.json re-measures the serial "ladder" phase and is guarded
-// against BENCH_pr5 (its "shards" phase records a parallel kernel that
-// has since been removed; the guard never picks that phase):
-//
-//	paperbench -benchguard BENCH_pr9.json -benchbaseline BENCH_pr5.json
+// profiles of the whole run, exactly as `go test` would. Speed is
+// measured elsewhere: layerbench end to end and layer by layer, and
+// `go test -bench` per package (see EXPERIMENTS.md).
 //
 // Replications run in parallel on -procs workers (default: all
 // cores). Output is bit-identical for any -procs value and a fixed
@@ -93,16 +53,6 @@ func main() {
 		progress = flag.Bool("progress", true, "report live progress on stderr")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-
-		benchJSON     = flag.String("benchjson", "", "run the saturation-load benchmark and merge results into this JSON artifact (skips the figures)")
-		benchPhase    = flag.String("benchphase", "optimized", "phase label for -benchjson results (ladder, baseline, optimized, torus, ci, ...; dense or lazy with -benchworkload scale)")
-		benchWork     = flag.String("benchworkload", "saturation", "workload for -benchjson: saturation (the Fig. 2 trajectory) or scale (64-destination multicast on the 2^20-node mesh; phases dense/lazy measure the substrate memory models)")
-		benchTopo     = flag.String("benchtopo", "mesh", "topology for -benchjson: mesh (the trajectory workload) or torus (wraparound twin, two dateline VCs, phase \"torus\")")
-		benchTime     = flag.String("benchtime", "", "benchmark duration per algorithm for -benchjson, as for go test (e.g. 1s, 5x); empty = testing default")
-		benchGuard    = flag.String("benchguard", "", "compare this bench artifact against -benchbaseline and exit nonzero on regression (offline; skips the figures)")
-		benchBaseline = flag.String("benchbaseline", "", "baseline bench artifact for -benchguard")
-		benchTol      = flag.Float64("benchtol", 0.05, "relative tolerance for -benchguard (0.05 = 5%)")
-		benchGdMode   = flag.String("benchguardmode", "full", "what -benchguard enforces: full (events/sec floor + allocs/op ceiling) or alloc (allocs/op + bytes/op ceilings — machine-independent, for guarding fresh measurements against committed artifacts)")
 	)
 	flag.Parse()
 	want, err := parseOnly(*only)
@@ -117,21 +67,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProf()
-
-	if *benchGuard != "" {
-		if err := runBenchGuard(*benchGuard, *benchBaseline, *benchTol, *benchGdMode); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *benchPhase, *benchTime, *benchTopo, *benchWork); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

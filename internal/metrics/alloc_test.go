@@ -1,20 +1,27 @@
 package metrics
 
 import (
+	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/broadcast"
 	"repro/internal/fault"
 	"repro/internal/network"
+	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
 // warmCost runs f warm times, then reports the mean heap allocations
 // and bytes of runs further calls, measured on one P as
-// testing.AllocsPerRun does.
+// testing.AllocsPerRun does. The collector is paused throughout: a
+// collection empties the sync.Pools the recycled networks and scratch
+// live in, so where one landed would decide what the calls cost.
 func warmCost(warm, runs int, f func()) (allocs, bytes float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for i := 0; i < warm; i++ {
 		f()
 	}
@@ -36,7 +43,7 @@ var paperAlgorithms = []broadcast.Algorithm{
 // largest point: one RunSingle per paper algorithm on 16×16×16 at
 // L=100. A warm bundle plans afresh but recycles its networks, so the
 // bytes are the four plans, validation scratch and the results; a
-// network built per broadcast again (about 1.9 MB each) breaks the
+// network built per broadcast again (about 1.3 MB each) breaks the
 // bytes ceiling at once.
 func TestRunSingleBundleAllocationBudget(t *testing.T) {
 	if raceEnabled {
@@ -88,7 +95,7 @@ func TestSaturationStudyAllocationBudget(t *testing.T) {
 // 8×8×8 with 8 failed links, its broadcast plans taken from a memo the
 // warm-up filled. What is left is the results, closures and fault
 // records, but no network: a faulted network is recycled like any
-// other, and a network and simulator built per study (about 2.8 MB
+// other, and a network and simulator built per study (about 4.7 MB
 // more) break the bytes ceiling at once.
 func TestFaultedStudyAllocationBudget(t *testing.T) {
 	if raceEnabled {
@@ -117,22 +124,84 @@ func TestFaultedStudyAllocationBudget(t *testing.T) {
 	}
 }
 
-// The ceilings sit at most a quarter above the warm costs measured on
-// linux/amd64 with Go 1.24 (RunSingle bundle about 290 allocs and
-// 1.21 MB, saturation bundle about 3,050–3,700 allocs and 5.30–5.50
-// MB), and the faulted study's about a third above its cost (about
-// 410 allocs and 200 KB). Pooled validation scratch took about 170 KB
-// off the first bundle and 870 KB off the second; worms that carry
-// one held-lane slice and record no path took about 220 allocs and
-// 130 KB off the first. With a fresh network per run and
-// the process-wide plan cache, the first two bundles cost 11,924
-// allocs and 12.3 MB, and 5,984 allocs and 8.2 MB; a faulted study
-// whose network is never recycled costs about 1,560 allocs and 3.0 MB.
+// TestScaleMulticastAllocationBudget pins the scale workload: one
+// 64-destination, 256-flit multicast from node 0 on the implicit
+// 128×128×64 mesh (2^20 nodes) over the lazy store, on a network built
+// for the op. The sparse traffic touches a few thousand lane pages, so
+// the bytes are those pages, the node-sized arrival slice and the
+// plan; a dense fallback (about 227 MB per op) or coarser pages break
+// the bytes ceiling at once. The event count and the arrival CV are
+// the ones BENCH_pr7.json records for both stores.
+func TestScaleMulticastAllocationBudget(t *testing.T) {
+	m := topology.NewMeshImplicit(128, 128, 64)
+	dests := make([]topology.NodeID, 64)
+	for i := range dests {
+		dests[i] = topology.NodeID((i + 1) * (m.Nodes() / (len(dests) + 1)))
+	}
+	cfg := network.DefaultConfig()
+	cfg.Store = network.StoreLazy
+	op := func() (events uint64, cv float64) {
+		plan, err := broadcast.NewMulticast(8).PlanMulticast(m, 0, dests)
+		if err == nil {
+			err = broadcast.ValidateMulticast(m, plan, dests)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := sim.New()
+		net, err := network.New(s, m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := broadcast.Execute(net, plan, broadcast.Options{Length: 256, Tag: "multicast"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Run()
+		var acc stats.Accumulator
+		for _, d := range dests {
+			if r.Arrival[d] < 0 {
+				t.Fatalf("destination %d never received (stuck: %v)", d, net.Stuck())
+			}
+			acc.Add(float64(r.Arrival[d] - r.Start))
+		}
+		return s.Fired(), acc.CV()
+	}
+	if events, cv := op(); events != scaleEvents || math.Abs(cv-scaleCV) > 1e-12 {
+		t.Fatalf("scale multicast fired %d events with arrival CV %.15g, want %d and %.15g", events, cv, scaleEvents, scaleCV)
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random quarter of its Puts under -race, so pooled scratch is rebuilt")
+	}
+	allocs, bytes := warmCost(1, 3, func() { op() })
+	t.Logf("warm scale multicast: %.0f allocs, %.0f bytes", allocs, bytes)
+	const maxAllocs, maxBytes = scaleMulticastAllocs, scaleMulticastBytes
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("warm scale multicast costs %.0f allocs and %.0f bytes, budget %d and %d", allocs, bytes, maxAllocs, maxBytes)
+	}
+}
+
+// The scale multicast's exact counters, as BENCH_pr7.json records them.
 const (
-	runSingleBundleAllocs  = 365
-	runSingleBundleBytes   = 1_500_000
-	saturationBundleAllocs = 4_150
-	saturationBundleBytes  = 6_600_000
-	faultedStudyAllocs     = 550
-	faultedStudyBytes      = 270_000
+	scaleEvents = 3463
+	scaleCV     = 0.494264983688433
+)
+
+// The ceilings sit at most a quarter above the warm costs measured on
+// linux/amd64 with Go 1.24, which with the collector paused repeat to
+// within an allocation or two from run to run: RunSingle bundle 286
+// allocs and 1.19 MB, saturation bundle 3,083 allocs and 5.26 MB,
+// faulted study 410 allocs and 193 KB, scale multicast 621 allocs and
+// 18.8 MB. A network built per run instead of recycled costs the
+// bundles 6.4 MB and 16.2 MB and the faulted study 4.8 MB; the dense
+// store costs the scale multicast 227 MB.
+const (
+	runSingleBundleAllocs  = 355
+	runSingleBundleBytes   = 1_480_000
+	saturationBundleAllocs = 3_850
+	saturationBundleBytes  = 6_550_000
+	faultedStudyAllocs     = 510
+	faultedStudyBytes      = 240_000
+	scaleMulticastAllocs   = 775
+	scaleMulticastBytes    = 23_500_000
 )

@@ -11,9 +11,10 @@ import "repro/internal/network"
 // replication count (40 experiments) is kept so one study is a
 // representative unit of work.
 //
-// bench_test.go (BenchmarkFig2Saturation) and cmd/paperbench
-// -benchjson both run this workload, so go-test benchmarks and the
-// emitted BENCH_*.json trajectory measure the same thing.
+// bench_test.go (BenchmarkFig2Saturation) and layerbench's saturation
+// workload both run it, as the committed BENCH_*.json artifacts did,
+// so go-test benchmarks and the end-to-end benchmark measure the same
+// thing.
 func SaturationConfig(seed uint64) ContendedConfig {
 	return ContendedConfig{
 		Net:          network.DefaultConfig(),

@@ -295,7 +295,7 @@ func ContendedCVStudy(m *Mesh, algo Algorithm, cfg ContendedConfig) (*SingleSour
 // DegradedStudy is ContendedCVStudy on a network running a fault
 // plan: same traffic schedule at the same seed, plus coverage and
 // drop accounting — the paired-twin comparison behind the fault
-// figures (cmd/meshsim's -faults flag goes through here).
+// figures.
 func DegradedStudy(m *Mesh, algo Algorithm, cfg DegradedConfig) (*DegradationStats, error) {
 	return metrics.DegradedStudy(m, algo, cfg)
 }
@@ -308,8 +308,8 @@ func RandomLinkFaults(m *Mesh, seed uint64, k int, at Time) (*FaultPlan, error) 
 }
 
 // SaturationConfig returns the Fig. 2-style saturation workload the
-// performance benchmarks (BenchmarkFig2Saturation and paperbench
-// -benchjson) track the simulator's perf trajectory on.
+// performance benchmarks (BenchmarkFig2Saturation and layerbench's
+// saturation workload) track the simulator's perf trajectory on.
 func SaturationConfig(seed uint64) ContendedConfig { return metrics.SaturationConfig(seed) }
 
 // SaturationDims is the mesh the saturation benchmark runs on.
@@ -322,8 +322,7 @@ func RunMixed(m *Mesh, cfg MixedConfig) (*MixedResult, error) {
 
 // RunMixedWith is RunMixed with a caller-supplied network
 // configuration — the entry point when the workload needs a
-// non-default store, virtual-channel count, or timing constants
-// (cmd/meshsim's -store/-topo flags go through here).
+// non-default store, virtual-channel count, or timing constants.
 func RunMixedWith(m *Mesh, ncfg Config, cfg MixedConfig) (*MixedResult, error) {
 	return traffic.RunMixedWith(m, ncfg, cfg)
 }
