@@ -83,7 +83,6 @@ func TestStreamingResultGuards(t *testing.T) {
 		f()
 	}
 	mustPanic("DestinationLatencies", func() { r.DestinationLatencies() })
-	mustPanic("StepBreakdown", func() { StepBreakdown(m, r) })
 }
 
 // TestRunSingleStreamsAtThreshold pins the auto-streaming switchover:

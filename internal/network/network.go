@@ -187,10 +187,11 @@ type Network struct {
 	parked   []*worm
 	dropped  uint64
 
-	// hopScratch is the reusable candidate buffer advance hands to
-	// ChannelAppender selectors. Safe to share across worms: each
-	// advance call fully consumes the candidates before anything else
-	// can route.
+	// hopScratch is advance's reusable candidate buffer: a
+	// ChannelAppender appends its walk to it, and a NextHops-only
+	// selector's candidates are resolved into it. Safe to share across
+	// worms: each advance call fully consumes the candidates before
+	// anything else can route.
 	hopScratch []routing.Hop
 
 	// touched lists, in first-acquire order, every lane of the dense

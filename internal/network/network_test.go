@@ -1,7 +1,9 @@
 package network
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/routing"
@@ -315,5 +317,37 @@ func TestHopDelayOverride(t *testing.T) {
 	want := cfg.Ts + 4*0.5 + 10*cfg.Beta
 	if !almost(at, want) {
 		t.Fatalf("arrival = %v, want %v", at, want)
+	}
+}
+
+// jumpSelector offers only NextHops and proposes the destination
+// itself as the next hop, adjacent or not.
+type jumpSelector struct{}
+
+func (jumpSelector) Name() string { return "jump" }
+
+func (jumpSelector) NextHops(cur, dst topology.NodeID) []topology.NodeID {
+	if cur == dst {
+		return nil
+	}
+	return []topology.NodeID{dst}
+}
+
+// TestNextHopsOnlySelectorNonAdjacentHopPanics pins the guard on the
+// route of a transfer whose selector offers only NextHops: the network
+// resolves each candidate's channel from the endpoint pair and panics
+// on a hop to a node that is not a neighbour.
+func TestNextHopsOnlySelectorNonAdjacentHopPanics(t *testing.T) {
+	s, m, n := testNet(t, 4, 4)
+	n.MustSend(0, &Transfer{Source: m.ID(0, 0), Waypoints: []topology.NodeID{m.ID(2, 2)},
+		Length: 8, Selector: jumpSelector{}})
+	got := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		s.Run()
+		return ""
+	}()
+	want := fmt.Sprintf("network: router proposed non-adjacent hop %d -> %d", m.ID(0, 0), m.ID(2, 2))
+	if !strings.Contains(got, want) {
+		t.Fatalf("panic %q, want %q", got, want)
 	}
 }

@@ -50,24 +50,25 @@ func TestTorusUnicastHotPathAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestHopAppenderWrapRoutesAllocationFree pins the routing side of
-// the torus hot path: appending next hops into a reused buffer over
-// wraparound routes costs nothing for every torus selector.
-func TestHopAppenderWrapRoutesAllocationFree(t *testing.T) {
+// TestChannelAppenderWrapRoutesAllocationFree pins the routing side
+// of the torus hot path: walking a wraparound route through
+// AppendNextChannels into a reused buffer costs nothing for every
+// torus selector.
+func TestChannelAppenderWrapRoutesAllocationFree(t *testing.T) {
 	m := topology.NewTorus(8, 8)
-	appenders := map[string]routing.HopAppender{
+	appenders := map[string]routing.ChannelAppender{
 		"dateline-dor":     routing.NewDatelineDOR(m),
 		"west-first-torus": routing.NewTorusWestFirst(m),
 		"odd-even-torus":   routing.NewTorusOddEven(m),
 	}
 	src, dst := m.ID(1, 1), m.ID(6, 6) // wraps in both dimensions
-	buf := make([]topology.NodeID, 0, 8)
+	buf := make([]routing.Hop, 0, 8)
 	for name, ap := range appenders {
 		avg := testing.AllocsPerRun(200, func() {
 			cur := src
 			for cur != dst {
-				buf = ap.AppendNextHops(buf[:0], cur, dst)
-				cur = buf[0]
+				buf = ap.AppendNextChannels(buf[:0], cur, dst)
+				cur = buf[0].Node
 			}
 		})
 		if avg > 0 {

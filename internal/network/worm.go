@@ -47,9 +47,9 @@ type worm struct {
 	vcPol routing.VCPolicy
 
 	// chApp is the worm's routing function (the transfer's, or the
-	// network default) in its channel-resolved form, resolved once at
-	// Send; nil for a transfer's selector that does not offer it,
-	// which advance then asks through NextHops.
+	// network default) as the routing walk advance runs, resolved once
+	// at Send; nil for a transfer's selector that offers only
+	// NextHops, whose candidates advance resolves to channels itself.
 	chApp routing.ChannelAppender
 
 	// activePrev/activeNext thread the network's in-flight list: an
@@ -324,17 +324,26 @@ func (n *Network) advance(w *worm) {
 		n.parkOrDrop(w)
 		return
 	}
+	var hops []routing.Hop
 	if w.chApp != nil {
-		n.advanceChannels(w, dst, h)
-		return
+		hops = w.chApp.AppendNextChannels(n.hopScratch[:0], w.cur, dst)
+	} else {
+		// A selector that only offers NextHops (a transfer's own; the
+		// network default routes channels): resolve each candidate's
+		// channel from the endpoint pair. This path keeps the
+		// non-adjacency guard — in-package selectors are trusted
+		// (their coordinate walks cannot emit a non-neighbor).
+		hops = n.hopScratch[:0]
+		for _, cand := range w.t.Selector.NextHops(w.cur, dst) {
+			ch := n.topo.Channel(w.cur, cand)
+			if ch == topology.InvalidChannel {
+				panic(fmt.Sprintf("network: router proposed non-adjacent hop %d -> %d", w.cur, cand))
+			}
+			hops = append(hops, routing.Hop{Node: cand, Ch: ch})
+		}
 	}
-	// Foreign selector (a transfer's own: the network default is
-	// channel-resolved): route through the slice-returning form and
-	// resolve each candidate's channel from the endpoint pair. This
-	// path keeps the non-adjacency guard — in-package selectors are
-	// trusted (their coordinate walks cannot emit a non-neighbor).
-	cands := w.t.Selector.NextHops(w.cur, dst)
-	if len(cands) == 0 {
+	n.hopScratch = hops
+	if len(hops) == 0 {
 		panic(fmt.Sprintf("network: no route from %d to %d for %s", w.cur, dst, w.describe()))
 	}
 	// Adaptive choice: first candidate with a free lane (its VC-class
@@ -343,66 +352,6 @@ func (n *Network) advance(w *worm) {
 	// into a dead node is not a candidate at all — this filter is the
 	// re-route: an adaptive selector's remaining candidates are its
 	// live admissible detours.
-	var pick topology.NodeID
-	pickLane := topology.InvalidChannel
-	firstLive := -1
-	for i, cand := range cands {
-		ch := n.topo.Channel(w.cur, cand)
-		if ch == topology.InvalidChannel {
-			panic(fmt.Sprintf("network: router proposed non-adjacent hop %d -> %d", w.cur, cand))
-		}
-		if h != nil && (h.linkDown[ch] || h.nodeDown[cand]) {
-			continue
-		}
-		if firstLive < 0 {
-			firstLive = i
-		}
-		lo, hi := n.laneRange(w, cand, dst)
-		base := int(ch) * n.vcs
-		for l := lo; l < hi; l++ {
-			// laneFree is the read-only probe: in lazy mode an untouched
-			// lane's page stays unallocated until a worm actually takes it.
-			if n.laneFree(topology.ChannelID(base + l)) {
-				pick, pickLane = cand, topology.ChannelID(base+l)
-				break
-			}
-		}
-		if pickLane != topology.InvalidChannel {
-			break
-		}
-	}
-	if pickLane == topology.InvalidChannel {
-		if firstLive < 0 {
-			// Every admissible hop is dead: the worm cannot make
-			// progress on the degraded network.
-			n.parkOrDrop(w)
-			return
-		}
-		// All live candidates busy: wait FIFO on the most preferred
-		// live candidate's first permitted lane.
-		cand := cands[firstLive]
-		ch := n.topo.Channel(w.cur, cand)
-		lo, _ := n.laneRange(w, cand, dst)
-		lane := topology.ChannelID(int(ch)*n.vcs + lo)
-		w.waiting = lane
-		qpush(&n.lane(lane).qtail, w)
-		return
-	}
-	n.acquire(w, pick, pickLane)
-}
-
-// advanceChannels is advance's candidate loop over channel-resolved
-// hops: the selector emits each candidate's directed channel during
-// the coordinate walk it already performs (routing.ChannelAppender),
-// so no candidate pays the endpoint-pair channel derivation. Same
-// preference order, same adaptive first-free-lane choice, same
-// fault filtering and FIFO wait as the generic loop above.
-func (n *Network) advanceChannels(w *worm, dst topology.NodeID, h *healthState) {
-	hops := w.chApp.AppendNextChannels(n.hopScratch[:0], w.cur, dst)
-	n.hopScratch = hops
-	if len(hops) == 0 {
-		panic(fmt.Sprintf("network: no route from %d to %d for %s", w.cur, dst, w.describe()))
-	}
 	firstLive := -1
 	for i := range hops {
 		cand, ch := hops[i].Node, hops[i].Ch
@@ -415,6 +364,8 @@ func (n *Network) advanceChannels(w *worm, dst topology.NodeID, h *healthState) 
 		lo, hi := n.laneRange(w, cand, dst)
 		base := int(ch) * n.vcs
 		for l := lo; l < hi; l++ {
+			// laneFree is the read-only probe: in lazy mode an untouched
+			// lane's page stays unallocated until a worm actually takes it.
 			if n.laneFree(topology.ChannelID(base + l)) {
 				n.acquire(w, cand, topology.ChannelID(base+l))
 				return
@@ -422,9 +373,13 @@ func (n *Network) advanceChannels(w *worm, dst topology.NodeID, h *healthState) 
 		}
 	}
 	if firstLive < 0 {
+		// Every admissible hop is dead: the worm cannot make progress
+		// on the degraded network.
 		n.parkOrDrop(w)
 		return
 	}
+	// All live candidates busy: wait FIFO on the most preferred live
+	// candidate's first permitted lane.
 	cand, ch := hops[firstLive].Node, hops[firstLive].Ch
 	lo, _ := n.laneRange(w, cand, dst)
 	lane := topology.ChannelID(int(ch)*n.vcs + lo)

@@ -75,22 +75,10 @@ func datelineClass(m *topology.Mesh, cur, next, dst topology.NodeID) int {
 	return 0
 }
 
-// datelineStep returns the minimal next hop along wrap dimension d
-// toward dst (shorter modular arc, ties positive) — the deterministic
-// per-dimension substrate of the torus routing functions.
-func datelineStep(m *topology.Mesh, cur topology.NodeID, d, cc, dc int) topology.NodeID {
-	k := m.Dim(d)
-	forward := dc - cc
-	if forward < 0 {
-		forward += k
-	}
-	if forward <= k-forward {
-		return m.Step(cur, d, +1)
-	}
-	return m.Step(cur, d, -1)
-}
-
-// datelineHop is datelineStep with the hop's channel resolved in-walk.
+// datelineHop returns the minimal next hop along wrap dimension d
+// toward dst (shorter modular arc, ties positive) with its channel —
+// the deterministic per-dimension substrate of the torus routing
+// functions.
 func datelineHop(m *topology.Mesh, cur topology.NodeID, d, cc, dc int) Hop {
 	k := m.Dim(d)
 	forward := dc - cc
@@ -131,7 +119,7 @@ func (r *DatelineDOR) VCClass(cur, next, dst topology.NodeID) int {
 }
 
 var (
-	_ Selector    = (*DatelineDOR)(nil)
-	_ HopAppender = (*DatelineDOR)(nil)
-	_ VCPolicy    = (*DatelineDOR)(nil)
+	_ Selector        = (*DatelineDOR)(nil)
+	_ ChannelAppender = (*DatelineDOR)(nil)
+	_ VCPolicy        = (*DatelineDOR)(nil)
 )

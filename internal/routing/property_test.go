@@ -15,7 +15,10 @@ import (
 // the topology's wrap-aware Distance, so wrap dimensions take the
 // shorter modular arc, (c) never revisits a channel, and (d) respects
 // its structural rules (west hops first for west-first; wrap
-// dimensions before residual dimensions for the torus models).
+// dimensions before residual dimensions for the torus models). The
+// route is walked through AppendNextChannels, the form the network
+// runs, and (e) every candidate's channel must be the one from cur to
+// its node, with NextHops returning the same nodes in the same order.
 
 // selectorsFor returns every selector constructible on m, keyed by a
 // short label.
@@ -65,6 +68,11 @@ func hopDim(t *testing.T, m *topology.Mesh, cur, next topology.NodeID) int {
 // validating every offered candidate along the way.
 func checkRoute(t *testing.T, m *topology.Mesh, label string, sel routing.Selector, src, dst topology.NodeID) {
 	t.Helper()
+	walk, ok := sel.(routing.ChannelAppender)
+	if !ok {
+		t.Fatalf("%s: not a ChannelAppender", label)
+	}
+	var hops []routing.Hop
 	cur := src
 	dist := m.Distance(src, dst)
 	usedCh := make(map[topology.ChannelID]bool)
@@ -74,21 +82,32 @@ func checkRoute(t *testing.T, m *topology.Mesh, label string, sel routing.Select
 		if steps > dist {
 			t.Fatalf("%s on %s: route %d->%d exceeded minimal length %d", label, m.Name(), src, dst, dist)
 		}
-		cands := sel.NextHops(cur, dst)
-		if len(cands) == 0 {
+		hops = walk.AppendNextChannels(hops[:0], cur, dst)
+		if len(hops) == 0 {
 			t.Fatalf("%s on %s: stalled at %d short of %d", label, m.Name(), cur, dst)
 		}
-		for _, cand := range cands {
-			if m.Channel(cur, cand) == topology.InvalidChannel {
+		nodes := sel.NextHops(cur, dst)
+		if len(nodes) != len(hops) {
+			t.Fatalf("%s on %s: NextHops(%d, %d) = %v, walk offers %v", label, m.Name(), cur, dst, nodes, hops)
+		}
+		for i, hop := range hops {
+			cand := hop.Node
+			if nodes[i] != cand {
+				t.Fatalf("%s on %s: NextHops(%d, %d) = %v, walk offers %v", label, m.Name(), cur, dst, nodes, hops)
+			}
+			want := m.Channel(cur, cand)
+			if want == topology.InvalidChannel {
 				t.Fatalf("%s on %s: non-adjacent candidate %d -> %d", label, m.Name(), cur, cand)
+			}
+			if hop.Ch != want {
+				t.Fatalf("%s on %s: candidate %d -> %d carries channel %d, want %d", label, m.Name(), cur, cand, hop.Ch, want)
 			}
 			if got, want := m.Distance(cand, dst), m.Distance(cur, dst)-1; got != want {
 				t.Fatalf("%s on %s: candidate %d -> %d not minimal toward %d (distance %d, want %d)",
 					label, m.Name(), cur, cand, dst, got, want)
 			}
 		}
-		next := cands[0]
-		ch := m.Channel(cur, next)
+		next, ch := hops[0].Node, hops[0].Ch
 		if usedCh[ch] {
 			t.Fatalf("%s on %s: route %d->%d revisits channel %d", label, m.Name(), src, dst, ch)
 		}

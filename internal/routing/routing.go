@@ -16,21 +16,12 @@ import (
 // Selector is a minimal routing function bound to a mesh. NextHops
 // returns the permitted next nodes from cur toward dst in preference
 // order; it returns nil only when cur == dst. Every candidate must be
-// one hop closer to dst (minimal routing).
+// one hop closer to dst (minimal routing). A selector outside this
+// package need only implement Selector: the network resolves each of
+// its candidates' channels from the endpoint pair.
 type Selector interface {
 	Name() string
 	NextHops(cur, dst topology.NodeID) []topology.NodeID
-}
-
-// HopAppender is the allocation-free fast path of a Selector: the
-// candidates are appended to a caller-provided buffer instead of a
-// fresh slice. The network's header-advance loop asks for this
-// interface and reuses one scratch buffer per network, so routing a
-// hop costs no allocation; NextHops remains the simple portable form
-// (and is equivalent to AppendNextHops(nil, …)). All selectors in
-// this package implement it.
-type HopAppender interface {
-	AppendNextHops(buf []topology.NodeID, cur, dst topology.NodeID) []topology.NodeID
 }
 
 // Hop is one routing candidate with its directed channel already
@@ -44,12 +35,29 @@ type Hop struct {
 	Ch   topology.ChannelID
 }
 
-// ChannelAppender is the channel-resolved fast path of a Selector:
-// AppendNextChannels appends exactly the candidates AppendNextHops
-// returns, in the same preference order, each with its directed
-// channel attached. All selectors in this package implement it.
+// ChannelAppender is the routing walk itself: AppendNextChannels
+// appends the candidates from cur toward dst to buf, in preference
+// order, each with its directed channel attached, and appends nothing
+// only when cur == dst. The network routes every hop through it into
+// one reused buffer, so routing costs no allocation. Every selector in
+// this package implements it, and its NextHops is the same walk's
+// nodes (nextNodes).
 type ChannelAppender interface {
 	AppendNextChannels(buf []Hop, cur, dst topology.NodeID) []Hop
+}
+
+// nextNodes is NextHops for every selector in this package: the nodes
+// of a's walk from cur toward dst, nil when cur == dst.
+func nextNodes(a ChannelAppender, cur, dst topology.NodeID) []topology.NodeID {
+	hops := a.AppendNextChannels(nil, cur, dst)
+	if len(hops) == 0 {
+		return nil
+	}
+	nodes := make([]topology.NodeID, len(hops))
+	for i, h := range hops {
+		nodes[i] = h.Node
+	}
+	return nodes
 }
 
 // Path expands a selector into a concrete path from src to dst by
@@ -110,63 +118,26 @@ func (r *DOR) Name() string { return "dor" }
 // first out-of-place dimension in the configured order. On a torus
 // the shorter modular direction is taken (ties go positive).
 func (r *DOR) NextHops(cur, dst topology.NodeID) []topology.NodeID {
-	return r.AppendNextHops(nil, cur, dst)
+	return nextNodes(r, cur, dst)
 }
 
-// AppendNextHops implements HopAppender.
-func (r *DOR) AppendNextHops(buf []topology.NodeID, cur, dst topology.NodeID) []topology.NodeID {
-	for _, d := range r.order {
-		cc := r.m.CoordAxis(cur, d)
-		dc := r.m.CoordAxis(dst, d)
-		if cc == dc {
-			continue
-		}
-		k := r.m.Dim(d)
-		step := 1
-		if dc < cc {
-			step = -1
-		}
-		if r.m.Wrap() && k >= 3 {
-			forward := ((dc - cc) + k) % k
-			if forward <= k-forward {
-				step = 1
-			} else {
-				step = -1
-			}
-		}
-		return append(buf, r.m.Step(cur, d, step))
-	}
-	return buf
-}
-
-// AppendNextChannels implements ChannelAppender: the same single
-// candidate as AppendNextHops, with its channel emitted from the
-// (dimension, direction) pair the walk just computed.
+// AppendNextChannels implements ChannelAppender: the single candidate
+// with its channel emitted from the (dimension, direction) pair the
+// walk just computed. A wrap dimension takes datelineHop's shorter
+// modular arc.
 func (r *DOR) AppendNextChannels(buf []Hop, cur, dst topology.NodeID) []Hop {
 	for _, d := range r.order {
 		cc := r.m.CoordAxis(cur, d)
 		dc := r.m.CoordAxis(dst, d)
-		if cc == dc {
+		switch {
+		case cc == dc:
 			continue
+		case r.m.WrapDim(d):
+			return append(buf, datelineHop(r.m, cur, d, cc, dc))
+		case dc > cc:
+			return append(buf, Hop{Node: r.m.Step(cur, d, +1), Ch: r.m.DirChannel(cur, d, 0)})
 		}
-		k := r.m.Dim(d)
-		step := 1
-		if dc < cc {
-			step = -1
-		}
-		if r.m.Wrap() && k >= 3 {
-			forward := ((dc - cc) + k) % k
-			if forward <= k-forward {
-				step = 1
-			} else {
-				step = -1
-			}
-		}
-		dir := 0
-		if step < 0 {
-			dir = 1
-		}
-		return append(buf, Hop{Node: r.m.Step(cur, d, step), Ch: r.m.DirChannel(cur, d, dir)})
+		return append(buf, Hop{Node: r.m.Step(cur, d, -1), Ch: r.m.DirChannel(cur, d, 1)})
 	}
 	return buf
 }

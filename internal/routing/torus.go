@@ -19,39 +19,18 @@ import (
 // routing — exactly the "fall back to dateline routing along wrap
 // dimensions" contract.
 
-// meshFastPath is what the residual-dimension mesh turn model must
-// offer the torus scaffolding: both allocation-free candidate forms.
-type meshFastPath interface {
-	HopAppender
-	ChannelAppender
-}
-
 // torusTurnModel is the shared wrap-first scaffolding of the torus
 // turn models.
 type torusTurnModel struct {
 	m    *topology.Mesh
-	mesh meshFastPath // the mesh turn model for the residual dimensions
+	mesh ChannelAppender // the mesh turn model for the residual dimensions
 }
 
-// appendNextHops corrects wrap dimensions in increasing order with
-// one deterministic dateline step, then delegates to the mesh model
-// (which sees every wrap dimension already aligned).
-func (r *torusTurnModel) appendNextHops(buf []topology.NodeID, cur, dst topology.NodeID) []topology.NodeID {
-	for d := 0; d < r.m.NDims(); d++ {
-		if !r.m.WrapDim(d) {
-			continue
-		}
-		cc, dc := r.m.CoordAxis(cur, d), r.m.CoordAxis(dst, d)
-		if cc == dc {
-			continue
-		}
-		return append(buf, datelineStep(r.m, cur, d, cc, dc))
-	}
-	return r.mesh.AppendNextHops(buf, cur, dst)
-}
-
-// appendNextChannels is appendNextHops with channels resolved in-walk.
-func (r *torusTurnModel) appendNextChannels(buf []Hop, cur, dst topology.NodeID) []Hop {
+// AppendNextChannels implements ChannelAppender: it corrects wrap
+// dimensions in increasing order with one deterministic dateline
+// step, then delegates to the mesh model (which sees every wrap
+// dimension already aligned).
+func (r *torusTurnModel) AppendNextChannels(buf []Hop, cur, dst topology.NodeID) []Hop {
 	for d := 0; d < r.m.NDims(); d++ {
 		if !r.m.WrapDim(d) {
 			continue
@@ -63,6 +42,19 @@ func (r *torusTurnModel) appendNextChannels(buf []Hop, cur, dst topology.NodeID)
 		return append(buf, datelineHop(r.m, cur, d, cc, dc))
 	}
 	return r.mesh.AppendNextChannels(buf, cur, dst)
+}
+
+// NextHops implements Selector.
+func (r *torusTurnModel) NextHops(cur, dst topology.NodeID) []topology.NodeID {
+	return nextNodes(r, cur, dst)
+}
+
+// VCClasses implements VCPolicy.
+func (r *torusTurnModel) VCClasses() int { return 2 }
+
+// VCClass implements VCPolicy.
+func (r *torusTurnModel) VCClass(cur, next, dst topology.NodeID) int {
+	return datelineClass(r.m, cur, next, dst)
 }
 
 // TorusWestFirst is the torus-capable west-first turn model: minimal
@@ -84,29 +76,6 @@ func NewTorusWestFirst(m *topology.Mesh) *TorusWestFirst {
 // Name implements Selector.
 func (r *TorusWestFirst) Name() string { return "west-first-torus" }
 
-// NextHops implements Selector.
-func (r *TorusWestFirst) NextHops(cur, dst topology.NodeID) []topology.NodeID {
-	return r.appendNextHops(nil, cur, dst)
-}
-
-// AppendNextHops implements HopAppender.
-func (r *TorusWestFirst) AppendNextHops(buf []topology.NodeID, cur, dst topology.NodeID) []topology.NodeID {
-	return r.appendNextHops(buf, cur, dst)
-}
-
-// AppendNextChannels implements ChannelAppender.
-func (r *TorusWestFirst) AppendNextChannels(buf []Hop, cur, dst topology.NodeID) []Hop {
-	return r.appendNextChannels(buf, cur, dst)
-}
-
-// VCClasses implements VCPolicy.
-func (r *TorusWestFirst) VCClasses() int { return 2 }
-
-// VCClass implements VCPolicy.
-func (r *TorusWestFirst) VCClass(cur, next, dst topology.NodeID) int {
-	return datelineClass(r.m, cur, next, dst)
-}
-
 // TorusOddEven is the torus-capable odd-even turn model: minimal
 // dateline routing along wraparound dimensions, Chiu's odd-even
 // model on the residual mesh dimensions.
@@ -125,29 +94,6 @@ func NewTorusOddEven(m *topology.Mesh) *TorusOddEven {
 
 // Name implements Selector.
 func (r *TorusOddEven) Name() string { return "odd-even-torus" }
-
-// NextHops implements Selector.
-func (r *TorusOddEven) NextHops(cur, dst topology.NodeID) []topology.NodeID {
-	return r.appendNextHops(nil, cur, dst)
-}
-
-// AppendNextHops implements HopAppender.
-func (r *TorusOddEven) AppendNextHops(buf []topology.NodeID, cur, dst topology.NodeID) []topology.NodeID {
-	return r.appendNextHops(buf, cur, dst)
-}
-
-// AppendNextChannels implements ChannelAppender.
-func (r *TorusOddEven) AppendNextChannels(buf []Hop, cur, dst topology.NodeID) []Hop {
-	return r.appendNextChannels(buf, cur, dst)
-}
-
-// VCClasses implements VCPolicy.
-func (r *TorusOddEven) VCClasses() int { return 2 }
-
-// VCClass implements VCPolicy.
-func (r *TorusOddEven) VCClass(cur, next, dst topology.NodeID) int {
-	return datelineClass(r.m, cur, next, dst)
-}
 
 // WestFirstFor returns the west-first routing function appropriate
 // for m: the mesh turn model on a mesh, the torus-capable variant on
@@ -171,11 +117,9 @@ func OddEvenFor(m *topology.Mesh) Selector {
 
 var (
 	_ Selector        = (*TorusWestFirst)(nil)
-	_ HopAppender     = (*TorusWestFirst)(nil)
 	_ ChannelAppender = (*TorusWestFirst)(nil)
 	_ VCPolicy        = (*TorusWestFirst)(nil)
 	_ Selector        = (*TorusOddEven)(nil)
-	_ HopAppender     = (*TorusOddEven)(nil)
 	_ ChannelAppender = (*TorusOddEven)(nil)
 	_ VCPolicy        = (*TorusOddEven)(nil)
 )

@@ -42,60 +42,14 @@ func (r *WestFirst) Name() string { return "west-first" }
 // north/south adaptively (largest remaining offset preferred); then
 // the remaining dimensions in order.
 func (r *WestFirst) NextHops(cur, dst topology.NodeID) []topology.NodeID {
-	return r.AppendNextHops(nil, cur, dst)
+	return nextNodes(r, cur, dst)
 }
 
-// AppendNextHops implements HopAppender. Phase 2 offers at most two
-// candidates (east and one vertical), so the "largest remaining
-// offset first, stable on ties" preference of the original sort is a
-// single comparison with east winning ties.
-func (r *WestFirst) AppendNextHops(buf []topology.NodeID, cur, dst topology.NodeID) []topology.NodeID {
-	// Phase 1: all west hops.
-	cx, dx := r.m.CoordAxis(cur, 0), r.m.CoordAxis(dst, 0)
-	if dx < cx {
-		return append(buf, r.m.Step(cur, 0, -1))
-	}
-	// Phase 2: adaptive among east and the second dimension.
-	var east, vert topology.NodeID
-	eastOff, vertOff := 0, 0
-	if dx > cx {
-		east, eastOff = r.m.Step(cur, 0, +1), dx-cx
-	}
-	if r.m.NDims() >= 2 {
-		cy, dy := r.m.CoordAxis(cur, 1), r.m.CoordAxis(dst, 1)
-		switch {
-		case dy > cy:
-			vert, vertOff = r.m.Step(cur, 1, +1), dy-cy
-		case dy < cy:
-			vert, vertOff = r.m.Step(cur, 1, -1), cy-dy
-		}
-	}
-	switch {
-	case eastOff > 0 && vertOff > 0:
-		if vertOff > eastOff {
-			return append(buf, vert, east)
-		}
-		return append(buf, east, vert)
-	case eastOff > 0:
-		return append(buf, east)
-	case vertOff > 0:
-		return append(buf, vert)
-	}
-	// Phase 3: remaining dimensions, dimension-ordered.
-	for d := 2; d < r.m.NDims(); d++ {
-		cc, dc := r.m.CoordAxis(cur, d), r.m.CoordAxis(dst, d)
-		switch {
-		case dc > cc:
-			return append(buf, r.m.Step(cur, d, +1))
-		case dc < cc:
-			return append(buf, r.m.Step(cur, d, -1))
-		}
-	}
-	return buf
-}
-
-// AppendNextChannels implements ChannelAppender: the same candidates
-// as AppendNextHops in the same order, channels resolved in-walk.
+// AppendNextChannels implements ChannelAppender, channels resolved
+// in-walk. Phase 2 offers at most two candidates (east and one
+// vertical), so the "largest remaining offset first, stable on ties"
+// preference of the original sort is a single comparison with east
+// winning ties.
 func (r *WestFirst) AppendNextChannels(buf []Hop, cur, dst topology.NodeID) []Hop {
 	// Phase 1: all west hops.
 	cx, dx := r.m.CoordAxis(cur, 0), r.m.CoordAxis(dst, 0)
@@ -196,70 +150,11 @@ func (r *OddEven) Name() string { return "odd-even" }
 
 // NextHops implements Selector.
 func (r *OddEven) NextHops(cur, dst topology.NodeID) []topology.NodeID {
-	return r.AppendNextHops(nil, cur, dst)
+	return nextNodes(r, cur, dst)
 }
 
-// AppendNextHops implements HopAppender.
-func (r *OddEven) AppendNextHops(buf []topology.NodeID, cur, dst topology.NodeID) []topology.NodeID {
-	// Correct dimensions >= 2 first (dimension-ordered).
-	for d := r.m.NDims() - 1; d >= 2; d-- {
-		cc, dc := r.m.CoordAxis(cur, d), r.m.CoordAxis(dst, d)
-		if cc == dc {
-			continue
-		}
-		delta := 1
-		if dc < cc {
-			delta = -1
-		}
-		return append(buf, r.m.Step(cur, d, delta))
-	}
-
-	cx, cy := r.m.CoordAxis(cur, 0), r.m.CoordAxis(cur, 1)
-	dx, dy := r.m.CoordAxis(dst, 0), r.m.CoordAxis(dst, 1)
-	ex, ey := dx-cx, dy-cy
-	if ex == 0 && ey == 0 {
-		return buf
-	}
-
-	n := len(buf)
-	if ex > 0 {
-		// Heading east. EN/ES turns are forbidden at even columns, so
-		// vertical moves are offered only at odd columns, and a packet
-		// that still needs vertical correction must not step into an
-		// even destination column (it could never legally turn there).
-		mustTurnHere := ey != 0 && cx+1 == dx && dx%2 == 0
-		if !mustTurnHere {
-			buf = append(buf, r.m.Step(cur, 0, +1))
-		}
-		if ey != 0 && cx%2 == 1 {
-			buf = append(buf, r.vstep(cur, ey))
-		}
-	} else if ex < 0 {
-		// Heading west: NW/SW turns are forbidden at odd columns, so
-		// go vertical only at even columns; west moves always allowed.
-		if ey != 0 && cx%2 == 0 {
-			buf = append(buf, r.vstep(cur, ey))
-		}
-		buf = append(buf, r.m.Step(cur, 0, -1))
-	} else {
-		// Aligned in x: finish the column.
-		buf = append(buf, r.vstep(cur, ey))
-	}
-	if len(buf) == n {
-		panic(fmt.Sprintf("routing: odd-even stalled at %d toward %d", cur, dst))
-	}
-	return buf
-}
-
-func (r *OddEven) vstep(cur topology.NodeID, ey int) topology.NodeID {
-	if ey > 0 {
-		return r.m.Step(cur, 1, +1)
-	}
-	return r.m.Step(cur, 1, -1)
-}
-
-// AppendNextChannels implements ChannelAppender: the same candidates
-// as AppendNextHops in the same order, channels resolved in-walk.
+// AppendNextChannels implements ChannelAppender, channels resolved
+// in-walk.
 func (r *OddEven) AppendNextChannels(buf []Hop, cur, dst topology.NodeID) []Hop {
 	// Correct dimensions >= 2 first (dimension-ordered).
 	for d := r.m.NDims() - 1; d >= 2; d-- {
@@ -282,7 +177,10 @@ func (r *OddEven) AppendNextChannels(buf []Hop, cur, dst topology.NodeID) []Hop 
 
 	n := len(buf)
 	if ex > 0 {
-		// See AppendNextHops for the turn rules.
+		// Heading east. EN/ES turns are forbidden at even columns, so
+		// vertical moves are offered only at odd columns, and a packet
+		// that still needs vertical correction must not step into an
+		// even destination column (it could never legally turn there).
 		mustTurnHere := ey != 0 && cx+1 == dx && dx%2 == 0
 		if !mustTurnHere {
 			buf = append(buf, Hop{Node: r.m.Step(cur, 0, +1), Ch: r.m.DirChannel(cur, 0, 0)})
@@ -291,11 +189,14 @@ func (r *OddEven) AppendNextChannels(buf []Hop, cur, dst topology.NodeID) []Hop 
 			buf = append(buf, r.vhop(cur, ey))
 		}
 	} else if ex < 0 {
+		// Heading west: NW/SW turns are forbidden at odd columns, so
+		// go vertical only at even columns; west moves always allowed.
 		if ey != 0 && cx%2 == 0 {
 			buf = append(buf, r.vhop(cur, ey))
 		}
 		buf = append(buf, Hop{Node: r.m.Step(cur, 0, -1), Ch: r.m.DirChannel(cur, 0, 1)})
 	} else {
+		// Aligned in x: finish the column.
 		buf = append(buf, r.vhop(cur, ey))
 	}
 	if len(buf) == n {
@@ -315,9 +216,6 @@ var (
 	_ Selector        = (*DOR)(nil)
 	_ Selector        = (*WestFirst)(nil)
 	_ Selector        = (*OddEven)(nil)
-	_ HopAppender     = (*DOR)(nil)
-	_ HopAppender     = (*WestFirst)(nil)
-	_ HopAppender     = (*OddEven)(nil)
 	_ ChannelAppender = (*DOR)(nil)
 	_ ChannelAppender = (*WestFirst)(nil)
 	_ ChannelAppender = (*OddEven)(nil)

@@ -201,19 +201,6 @@ func RunBroadcast(m *Mesh, algo Algorithm, src NodeID, cfg Config, length int) (
 	return broadcast.RunSingle(m, algo, src, cfg, length)
 }
 
-// StepStats summarises the arrivals of one message-passing step.
-type StepStats = broadcast.StepStats
-
-// StepBreakdown attributes each destination's arrival to the plan
-// step that covered it — the quantitative form of the paper's
-// node-level parallelism argument.
-func StepBreakdown(m *Mesh, r *Result) []StepStats { return broadcast.StepBreakdown(m, r) }
-
-// FormatBreakdown renders a step breakdown as an aligned text table.
-func FormatBreakdown(algo string, breakdown []StepStats) string {
-	return broadcast.FormatBreakdown(algo, breakdown)
-}
-
 // ExecuteBroadcast wires a validated plan into an existing network;
 // the result fills in as the caller advances the simulator. Use this
 // to overlap several broadcasts in one simulation.
