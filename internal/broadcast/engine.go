@@ -24,6 +24,10 @@ type Options struct {
 	// OnComplete, if set, fires when the last node receives the
 	// message.
 	OnComplete func(*Result)
+	// onArrival, if set, fires at each node's first arrival, the
+	// source's excepted, with the node and the absolute arrival time.
+	// RunMulticast sets it to keep its destinations' arrivals only.
+	onArrival func(node topology.NodeID, at sim.Time)
 	// Stream, when set, keeps the Result's per-destination state
 	// fixed-size: arrivals dedupe through a bitset and destination
 	// latencies fold into a running accumulator instead of an
@@ -199,6 +203,9 @@ func Execute(net *network.Network, plan *Plan, opt Options) (*Result, error) {
 			}
 			r.informed[w] |= bit
 			r.destLat.Add(at - r.Start)
+		}
+		if opt.onArrival != nil {
+			opt.onArrival(node, at)
 		}
 		r.Informed++
 		if r.Informed == n {

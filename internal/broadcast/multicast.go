@@ -152,37 +152,44 @@ func (mc Multicast) planMesh(m *topology.Mesh, src topology.NodeID, dests []topo
 }
 
 // RunMulticast plans and executes one multicast on an idle network
-// over m and returns each destination's arrival time (µs from start).
-func RunMulticast(m *topology.Mesh, mc Multicast, src topology.NodeID, dests []topology.NodeID, cfg network.Config, length int) (map[topology.NodeID]float64, error) {
+// over m (recycled, see network.Acquire). It returns each
+// destination's arrival time in µs from the start, indexed like dests
+// (a listed source reads 0), and the number of model events the run
+// fired. It keeps no per-node arrival state beyond a bitset.
+func RunMulticast(m *topology.Mesh, mc Multicast, src topology.NodeID, dests []topology.NodeID, cfg network.Config, length int) ([]sim.Time, uint64, error) {
 	plan, err := mc.PlanMulticast(m, src, dests)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if err := ValidateMulticast(m, plan, dests); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	s := sim.New()
-	net, err := network.New(s, m, cfg)
+	net, err := network.Acquire(m, cfg)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	r, err := Execute(net, plan, Options{Length: length, Tag: "multicast"})
+	defer net.Release()
+	got := make(map[topology.NodeID]sim.Time, len(dests))
+	r, err := Execute(net, plan, Options{
+		Length: length, Tag: "multicast", Stream: true,
+		onArrival: func(node topology.NodeID, at sim.Time) { got[node] = at },
+	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	s.Run()
-	out := make(map[topology.NodeID]float64, len(dests))
-	for _, d := range dests {
+	net.Sim().Run()
+	out := make([]sim.Time, len(dests))
+	for i, d := range dests {
 		if d == src {
 			continue
 		}
-		at := r.Arrival[d]
-		if at < 0 {
-			return nil, fmt.Errorf("broadcast: multicast destination %d never received (stuck: %v)", d, net.Stuck())
+		at, ok := got[d]
+		if !ok {
+			return nil, 0, fmt.Errorf("broadcast: multicast destination %d never received (stuck: %v)", d, net.Stuck())
 		}
-		out[d] = at
+		out[i] = at - r.Start
 	}
-	return out, nil
+	return out, net.Sim().Fired(), nil
 }
 
 // ValidateMulticast checks that the plan delivers to exactly the

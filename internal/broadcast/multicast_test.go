@@ -130,16 +130,16 @@ func TestRunMulticastDelivers(t *testing.T) {
 	m := topology.NewMesh(6, 6, 3)
 	src := m.ID(3, 3, 1)
 	dests := []topology.NodeID{m.ID(0, 0, 0), m.ID(5, 5, 2), m.ID(1, 4, 2), m.ID(5, 0, 0), src}
-	arrivals, err := RunMulticast(m, NewMulticast(2), src, dests, network.DefaultConfig(), 64)
+	arrivals, events, err := RunMulticast(m, NewMulticast(2), src, dests, network.DefaultConfig(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(arrivals) != 4 { // src excluded
-		t.Fatalf("arrivals = %d, want 4", len(arrivals))
+	if len(arrivals) != len(dests) || events == 0 {
+		t.Fatalf("%d arrivals and %d events, want %d and some", len(arrivals), events, len(dests))
 	}
-	for d, at := range arrivals {
-		if at <= 0 {
-			t.Errorf("destination %d arrival %v", d, at)
+	for i, at := range arrivals {
+		if (dests[i] == src) != (at == 0) || at < 0 { // a listed source reads 0
+			t.Errorf("destination %d arrival %v", dests[i], at)
 		}
 	}
 }

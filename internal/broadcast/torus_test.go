@@ -137,16 +137,16 @@ func TestMulticastOnTorus(t *testing.T) {
 	cfg := network.DefaultConfig()
 	cfg.VCs = 2
 	dests := []topology.NodeID{m.ID(3, 3), m.ID(0, 2), m.ID(2, 0), m.ID(1, 3)}
-	arr, err := RunMulticast(m, NewMulticast(2), m.ID(1, 1), dests, cfg, 32)
+	arr, _, err := RunMulticast(m, NewMulticast(2), m.ID(1, 1), dests, cfg, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(arr) != len(dests) {
 		t.Fatalf("%d arrivals, want %d", len(arr), len(dests))
 	}
-	for d, at := range arr {
+	for i, at := range arr {
 		if at <= 0 {
-			t.Errorf("destination %d arrival %v", d, at)
+			t.Errorf("destination %d arrival %v", dests[i], at)
 		}
 	}
 }

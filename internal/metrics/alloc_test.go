@@ -9,7 +9,6 @@ import (
 	"repro/internal/broadcast"
 	"repro/internal/fault"
 	"repro/internal/network"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
@@ -33,6 +32,15 @@ func warmCost(warm, runs int, f func()) (allocs, bytes float64) {
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / float64(runs),
 		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// coldCost reports the heap allocations and bytes of one call of f.
+func coldCost(f func()) (allocs, bytes float64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
 }
 
 var paperAlgorithms = []broadcast.Algorithm{
@@ -126,11 +134,15 @@ func TestFaultedStudyAllocationBudget(t *testing.T) {
 
 // TestScaleMulticastAllocationBudget pins the scale workload: one
 // 64-destination, 256-flit multicast from node 0 on the implicit
-// 128×128×64 mesh (2^20 nodes) over the lazy store, on a network built
-// for the op. The sparse traffic touches a few thousand lane pages, so
-// the bytes are those pages, the node-sized arrival slice and the
-// plan; a dense fallback (about 227 MB per op) or coarser pages break
-// the bytes ceiling at once. The event count and the arrival CV are
+// 128×128×64 mesh (2^20 nodes) over the lazy store, through
+// broadcast.RunMulticast. The sparse traffic touches a few thousand
+// lane pages, so the bytes are those pages, the lazy store's page
+// tables, the arrival bitset and the plan. Both the first op, which
+// builds its network, and warm ops, which recycle it, are bounded: a
+// recycled dense store resets without allocating, so only the cold op
+// shows a dense fallback (about 227 MB), and the acquired network must
+// report a lazy store. Coarser pages or a node-sized arrival slice
+// break the ceilings on either. The event count and the arrival CV are
 // the ones BENCH_pr7.json records for both stores.
 func TestScaleMulticastAllocationBudget(t *testing.T) {
 	m := topology.NewMeshImplicit(128, 128, 64)
@@ -141,41 +153,40 @@ func TestScaleMulticastAllocationBudget(t *testing.T) {
 	cfg := network.DefaultConfig()
 	cfg.Store = network.StoreLazy
 	op := func() (events uint64, cv float64) {
-		plan, err := broadcast.NewMulticast(8).PlanMulticast(m, 0, dests)
-		if err == nil {
-			err = broadcast.ValidateMulticast(m, plan, dests)
-		}
+		arrival, events, err := broadcast.RunMulticast(m, broadcast.NewMulticast(8), 0, dests, cfg, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := sim.New()
-		net, err := network.New(s, m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := broadcast.Execute(net, plan, broadcast.Options{Length: 256, Tag: "multicast"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Run()
 		var acc stats.Accumulator
-		for _, d := range dests {
-			if r.Arrival[d] < 0 {
-				t.Fatalf("destination %d never received (stuck: %v)", d, net.Stuck())
-			}
-			acc.Add(float64(r.Arrival[d] - r.Start))
+		for _, at := range arrival {
+			acc.Add(at)
 		}
-		return s.Fired(), acc.CV()
+		return events, acc.CV()
 	}
-	if events, cv := op(); events != scaleEvents || math.Abs(cv-scaleCV) > 1e-12 {
-		t.Fatalf("scale multicast fired %d events with arrival CV %.15g, want %d and %.15g", events, cv, scaleEvents, scaleCV)
+	const maxAllocs, maxBytes = scaleMulticastAllocs, scaleMulticastBytes
+	allocs, bytes := coldCost(func() {
+		if events, cv := op(); events != scaleEvents || math.Abs(cv-scaleCV) > 1e-12 {
+			t.Fatalf("scale multicast fired %d events with arrival CV %.15g, want %d and %.15g", events, cv, scaleEvents, scaleCV)
+		}
+	})
+	t.Logf("cold scale multicast: %.0f allocs, %.0f bytes", allocs, bytes)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("cold scale multicast costs %.0f allocs and %.0f bytes, budget %d and %d", allocs, bytes, maxAllocs, maxBytes)
+	}
+	net, err := network.Acquire(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy, _ := net.LazyStore()
+	net.Release()
+	if !lazy {
+		t.Fatalf("network acquired with Store %v has a dense store", cfg.Store)
 	}
 	if raceEnabled {
-		t.Skip("sync.Pool drops a random quarter of its Puts under -race, so pooled scratch is rebuilt")
+		t.Skip("sync.Pool drops a random quarter of its Puts under -race, so warm networks are rebuilt")
 	}
-	allocs, bytes := warmCost(1, 3, func() { op() })
+	allocs, bytes = warmCost(1, 3, func() { op() })
 	t.Logf("warm scale multicast: %.0f allocs, %.0f bytes", allocs, bytes)
-	const maxAllocs, maxBytes = scaleMulticastAllocs, scaleMulticastBytes
 	if allocs > maxAllocs || bytes > maxBytes {
 		t.Errorf("warm scale multicast costs %.0f allocs and %.0f bytes, budget %d and %d", allocs, bytes, maxAllocs, maxBytes)
 	}
@@ -189,19 +200,21 @@ const (
 
 // The ceilings sit at most a quarter above the warm costs measured on
 // linux/amd64 with Go 1.24, which with the collector paused repeat to
-// within an allocation or two from run to run: RunSingle bundle 286
-// allocs and 1.19 MB, saturation bundle 3,083 allocs and 5.26 MB,
-// faulted study 410 allocs and 193 KB, scale multicast 621 allocs and
-// 18.8 MB. A network built per run instead of recycled costs the
+// within an allocation or two from run to run: RunSingle bundle 61
+// allocs and 954 KB, saturation bundle 2,745 allocs and 5.10 MB,
+// faulted study 410 allocs and 194 KB, scale multicast 609 allocs and
+// 10.5 MB (its first op, building the network, 678 allocs and
+// 10.7 MB). A network built per run instead of recycled costs the
 // bundles 6.4 MB and 16.2 MB and the faulted study 4.8 MB; the dense
-// store costs the scale multicast 227 MB.
+// store costs the scale multicast 227 MB and a node-sized arrival
+// slice 8.4 MB.
 const (
-	runSingleBundleAllocs  = 355
-	runSingleBundleBytes   = 1_480_000
-	saturationBundleAllocs = 3_850
-	saturationBundleBytes  = 6_550_000
+	runSingleBundleAllocs  = 76
+	runSingleBundleBytes   = 1_190_000
+	saturationBundleAllocs = 3_430
+	saturationBundleBytes  = 6_370_000
 	faultedStudyAllocs     = 510
 	faultedStudyBytes      = 240_000
-	scaleMulticastAllocs   = 775
-	scaleMulticastBytes    = 23_500_000
+	scaleMulticastAllocs   = 760
+	scaleMulticastBytes    = 13_150_000
 )

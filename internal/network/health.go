@@ -241,8 +241,8 @@ func (n *Network) reviveParked() {
 // dropWorm aborts w: the injection port frees, every held lane
 // releases in path order (admitting its waiters), the drop is
 // counted, the Transfer's OnPath/OnDrop hooks fire, and the worm
-// returns to the pool. No delivery ever fires for a dropped worm —
-// its body never drained past any waypoint.
+// returns to the network's free list. No delivery ever fires for a
+// dropped worm — its body never drained past any waypoint.
 func (n *Network) dropWorm(w *worm) {
 	if w.waiting != topology.InvalidChannel {
 		panic("network: dropping a queued worm")

@@ -283,9 +283,6 @@ func TestPristineNetworkNeverAllocatesHealth(t *testing.T) {
 // nil-free but allocation-free, so a warm unicast around a dead link
 // still performs zero heap allocations.
 func TestDegradedHotPathAllocationBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a random quarter of its Puts under -race, so warm worms are rebuilt")
-	}
 	s := sim.New()
 	m := topology.NewMesh(8, 8)
 	n := MustNew(s, m, DefaultConfig())

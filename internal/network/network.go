@@ -199,6 +199,14 @@ type Network struct {
 	// CheckInvariants scans. New bounds a dense store's lanes to int32.
 	touched []int32
 
+	// freeWorms are the network's drained worms, and heldSpill and
+	// deliverSpill the free spill buffers of their per-hop slices (see
+	// worm): they move with the network through Acquire and Release,
+	// and Reset keeps them.
+	freeWorms    []*worm
+	heldSpill    spillLists[hold]
+	deliverSpill spillLists[int32]
+
 	slab    []Transfer // AllocTransfers' current chunk; Reset rewinds it
 	slabRun int        // transfers handed out since the last Reset
 }

@@ -2,6 +2,7 @@ package network
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -72,15 +73,12 @@ func TestWaitQueuesBoundedUnderSustainedContention(t *testing.T) {
 }
 
 // TestUnicastHotPathAllocationBudget pins the hot-path overhaul: once
-// the worm pool and calendar are warm, injecting and fully draining a
+// the network's worms and calendar are warm, injecting and fully draining a
 // unicast worm performs no heap allocation at all — no closures, no
 // per-worm slices, no queue growth. The pin holds for both drains, Run
 // and a Step loop: the calendar may allocate only while its arena and
 // rungs grow to the workload's high water, which the warm-up covers.
 func TestUnicastHotPathAllocationBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a random quarter of its Puts under -race, so warm worms are rebuilt")
-	}
 	for _, step := range []bool{false, true} {
 		t.Run(drainName(step), func(t *testing.T) {
 			s := sim.New()
@@ -91,7 +89,7 @@ func TestUnicastHotPathAllocationBudget(t *testing.T) {
 				Waypoints: []topology.NodeID{m.ID(7, 7)},
 				Length:    64,
 			}
-			for i := 0; i < 32; i++ { // warm pool, calendar and rings
+			for i := 0; i < 32; i++ { // warm worms, calendar and rings
 				n.MustSend(s.Now(), tr)
 				drain(s, step)
 			}
@@ -109,47 +107,60 @@ func TestUnicastHotPathAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestWormPoolRecyclesCleanly checks the pooled-object lifecycle at
-// the unit level: putWorm must return a worm to the process-wide pool
-// with empty per-hop state, no path, no reference to its previous
-// Transfer or network, and its grown held and deliver capacity intact.
-// The test retains the pointer across putWorm — the reset happens in
-// place, so the invariant is checkable without depending on sync.Pool
-// internals.
+// TestWormPoolRecyclesCleanly checks a worm's life on its network's
+// free list. A worm whose path outgrows its inline store spills into
+// buffers from the network's spill lists. Once drained it is back on
+// the free list with no transfer, path, cursors or queue, its spill
+// buffers are back on the network's lists, and its slices are its
+// inline arrays again. The next send reuses the worm and the buffers.
 func TestWormPoolRecyclesCleanly(t *testing.T) {
 	s := sim.New()
 	m := topology.NewMesh(4, 4)
 	n := MustNew(s, m, DefaultConfig())
-	w := n.getWorm()
-	w.net = n
-	w.t = &Transfer{Source: m.ID(0, 0), Waypoints: []topology.NodeID{m.ID(3, 3)}, Length: 16}
-	w.cur = m.ID(1, 1)
-	w.path = append(w.path, m.ID(0, 0), m.ID(1, 0))
-	w.held = append(w.held, hold{3, 1}, hold{4, 2})
-	w.deliver = append(w.deliver, 2)
-	w.relCur, w.delCur = 1, 1
-	wantCap := cap(w.held)
-	n.putWorm(w)
-	if w.t != nil || w.net != nil {
-		t.Error("recycled worm retains its transfer or network")
+	// Every node of the 6-hop path (0,0) -> (3,3) is a waypoint, so
+	// both per-hop slices outgrow wormInline and spill once.
+	var inFlight *worm
+	var heldCap, deliverCap int
+	tr := &Transfer{
+		Source:    m.ID(0, 0),
+		Waypoints: []topology.NodeID{m.ID(1, 0), m.ID(2, 0), m.ID(3, 0), m.ID(3, 1), m.ID(3, 2), m.ID(3, 3)},
+		Length:    16,
+		OnDeliver: func(topology.NodeID, sim.Time) {
+			inFlight = n.activeHead
+			heldCap, deliverCap = cap(inFlight.held), cap(inFlight.deliver)
+		},
+		OnPath: func([]topology.NodeID, bool) {},
 	}
-	if len(w.held) != 0 || len(w.deliver) != 0 || w.path != nil {
-		t.Error("recycled worm retains per-hop state")
+	var buffers [2]*hold
+	for round := range buffers {
+		n.MustSend(s.Now(), tr)
+		s.Run()
+		if n.InFlight() != 0 {
+			t.Fatalf("%d worms still in flight", n.InFlight())
+		}
+		if heldCap != 2*wormInline || deliverCap != 2*wormInline {
+			t.Fatalf("a 6-hop, 6-waypoint worm held capacities %d and %d, want %d", heldCap, deliverCap, 2*wormInline)
+		}
+		if len(n.freeWorms) != 1 || n.freeWorms[0] != inFlight {
+			t.Fatalf("round %d: free list holds %d worms, want only the drained one", round, len(n.freeWorms))
+		}
+		w := n.freeWorms[0]
+		if w.t != nil || w.net != n || w.path != nil || w.chApp != nil {
+			t.Error("recycled worm retains its transfer, path or router, or lost its network")
+		}
+		if w.relCur != 0 || w.delCur != 0 || w.waiting != topology.InvalidChannel || w.qnext != nil {
+			t.Error("recycled worm retains drain cursors or a queue")
+		}
+		if len(w.held) != 0 || cap(w.held) != wormInline || unsafe.SliceData(w.held) != &w.heldBuf[0] ||
+			len(w.deliver) != 0 || cap(w.deliver) != wormInline || unsafe.SliceData(w.deliver) != &w.deliverBuf[0] {
+			t.Error("recycled worm is not back on its inline store")
+		}
+		if len(n.heldSpill) != 1 || len(n.heldSpill[0]) != 1 || len(n.deliverSpill) != 1 || len(n.deliverSpill[0]) != 1 {
+			t.Fatalf("spill lists hold %v and %v buffers, want one 8-entry buffer each", n.heldSpill, n.deliverSpill)
+		}
+		buffers[round] = unsafe.SliceData(n.heldSpill[0][0])
 	}
-	if w.relCur != 0 || w.delCur != 0 {
-		t.Error("recycled worm retains drain cursors")
-	}
-	if cap(w.held) != wantCap || cap(w.deliver) == 0 {
-		t.Error("recycled worm lost its slice capacity")
-	}
-	if w.waiting != topology.InvalidChannel {
-		t.Error("recycled worm still waits on a channel")
-	}
-	// A full send/drain cycle must leave nothing in flight and recycle
-	// through the same code path.
-	n.MustSend(0, &Transfer{Source: m.ID(0, 0), Waypoints: []topology.NodeID{m.ID(3, 3)}, Length: 16})
-	s.Run()
-	if n.InFlight() != 0 {
-		t.Fatalf("%d worms still in flight", n.InFlight())
+	if buffers[0] != buffers[1] {
+		t.Error("the second send spilled into a new buffer, not the free one")
 	}
 }

@@ -334,3 +334,72 @@ func TestAllocTransfersDoNotAlias(t *testing.T) {
 		t.Fatalf("reset did not rewind and clear the chunk: %+v", again[0])
 	}
 }
+
+// TestRecycledNetworkChangesGoroutines: a network released on one
+// goroutine and acquired on another carries its free worms with it.
+// The acquiring goroutine's run builds no worm and matches a fresh
+// network's byte for byte.
+func TestRecycledNetworkChangesGoroutines(t *testing.T) {
+	m := topology.NewMesh(6, 6)
+	cfg := DefaultConfig()
+	fresh := MustNew(sim.New(), m, cfg)
+	log := recycleLoad(fresh, m, 2)
+	fresh.sim.Run()
+	want := readRecycleState(fresh, *log)
+
+	// on runs f on a goroutine of its own and waits for it.
+	on := func(f func()) {
+		done := make(chan struct{})
+		go func() { defer close(done); f() }()
+		<-done
+	}
+	// The pool may drop a Put (the race detector drops a random
+	// quarter of them), so a network that does not come back is
+	// retried with a new one.
+	for try := 0; try < 16; try++ {
+		var n, back *Network
+		var err error
+		on(func() {
+			if n, err = Acquire(m, cfg); err == nil {
+				recycleLoad(n, m, 2)
+				n.sim.Run()
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm := make(map[*worm]bool)
+		for _, w := range n.freeWorms {
+			warm[w] = true
+		}
+		on(n.Release)
+		var got recycleState
+		on(func() {
+			if back, err = Acquire(m, cfg); err == nil && back == n {
+				log := recycleLoad(back, m, 2)
+				back.sim.Run()
+				got = readRecycleState(back, *log)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back != n {
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("network acquired on another goroutine diverges\ngot  %+v\nwant %+v", got, want)
+		}
+		if len(warm) == 0 || len(n.freeWorms) != len(warm) {
+			t.Fatalf("free list went from %d to %d worms", len(warm), len(n.freeWorms))
+		}
+		for _, w := range n.freeWorms {
+			if !warm[w] {
+				t.Fatal("the run on the acquiring goroutine built a worm")
+			}
+		}
+		n.Release()
+		return
+	}
+	t.Fatal("a released network never came back from Acquire")
+}

@@ -15,9 +15,6 @@ import (
 // indexing, VC-class computation and wrap stepping all stay on the
 // stack.
 func TestTorusUnicastHotPathAllocationBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a random quarter of its Puts under -race, so warm worms are rebuilt")
-	}
 	for _, step := range []bool{false, true} {
 		t.Run(drainName(step), func(t *testing.T) {
 			s := sim.New()
@@ -32,7 +29,7 @@ func TestTorusUnicastHotPathAllocationBudget(t *testing.T) {
 				Waypoints: []topology.NodeID{m.ID(6, 6)},
 				Length:    64,
 			}
-			for i := 0; i < 32; i++ { // warm pool, calendar and rings
+			for i := 0; i < 32; i++ { // warm worms, calendar and rings
 				n.MustSend(s.Now(), tr)
 				drain(s, step)
 			}

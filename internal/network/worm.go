@@ -2,7 +2,7 @@ package network
 
 import (
 	"fmt"
-	"sync"
+	"math/bits"
 
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -11,15 +11,18 @@ import (
 
 // worm is the runtime state of one in-flight transfer.
 //
-// Worms are pooled process-wide: a drained worm returns to the free
-// pool with its per-hop slices' capacity intact, so the saturation
-// hot path recycles storage instead of re-growing it for every
-// message. All of a worm's calendar entries are (Func, worm) records.
-// Its drain tail is one tailEvent record per distinct tail instant
-// (see complete), chained: only the next one is pending at a time,
-// each pushing its successor under a seq complete reserved. Each
-// consumes the per-worm schedule through the rel/del cursors,
-// recomputing the instants from tcomp.
+// A worm belongs to the network that sent it: a drained worm returns
+// to its network's free list (putWorm) and moves with the network
+// through Acquire and Release. Its per-hop slices start on the inline
+// arrays heldBuf and deliverBuf, which cover most short paths; a
+// longer path spills into power-of-two buffers from the network's
+// per-size free lists (spillLists), and putWorm hands them back, so a
+// short worm never keeps a long worm's capacity. All of a worm's
+// calendar entries are (Func, worm) records. Its drain tail is one
+// tailEvent record per distinct tail instant (see complete), chained:
+// only the next one is pending at a time, each pushing its successor
+// under a seq complete reserved. Each consumes the per-worm schedule
+// through the rel/del cursors, recomputing the instants from tcomp.
 type worm struct {
 	net *Network
 	t   *Transfer
@@ -56,6 +59,10 @@ type worm struct {
 	// intrusive doubly-linked list replaces the old map[*worm]bool,
 	// which paid a pointer hash on every send and every retirement.
 	activePrev, activeNext *worm
+
+	// The inline per-hop store held and deliver start on (putWorm).
+	heldBuf    [wormInline]hold
+	deliverBuf [wormInline]int32
 }
 
 // hold is one lane a worm acquired and the instant it was granted,
@@ -70,43 +77,38 @@ func (w *worm) describe() string {
 		w.t.Tag, w.t.Source, w.cur, len(w.deliver), len(w.t.Waypoints), len(w.held), w.waiting)
 }
 
-// wormSliceCap pre-sizes a fresh worm's held and deliver slices: deep
-// enough for a typical coded-path traversal of the paper's meshes, and
-// a pooled worm keeps whatever larger capacity they grew to. The path
-// is not pooled: only a transfer with OnPath, which is rare, records
-// one, and putWorm drops it.
-const wormSliceCap = 16
+// wormInline is the inline capacity of a worm's held and deliver
+// slices. At 16×16×16 from source 80 it covers 93% of RD's and 98% of
+// EDN's worms; the coded-path worms of DB and AB, up to 255 hops,
+// spill. The path is not kept: only a transfer with OnPath, which is
+// rare, records one, and putWorm drops it.
+const wormInline = 4
 
-// wormPool is the process-wide worm free pool. Pooled networks
-// (Acquire) change hands between studies and goroutines, so a
-// per-network free list would strand warm worms with whichever network
-// the pool hands out next. putWorm clears every reference a worm
-// holds, so recycling across networks is safe, and sync.Pool's per-P
-// caches keep Get/Put off any shared lock.
-var wormPool = sync.Pool{New: func() any {
-	return &worm{
-		held:    make([]hold, 0, wormSliceCap),
-		deliver: make([]int32, 0, wormSliceCap),
-	}
-}}
-
-// getWorm takes a worm off the free pool, which builds one with
-// pre-sized slices when dry.
+// getWorm takes a worm off the network's free list, or builds one on
+// its inline store when the list is empty.
 func (n *Network) getWorm() *worm {
-	return wormPool.Get().(*worm)
+	if k := len(n.freeWorms); k > 0 {
+		w := n.freeWorms[k-1]
+		n.freeWorms = n.freeWorms[:k-1]
+		return w
+	}
+	w := &worm{net: n, waiting: topology.InvalidChannel}
+	w.held, w.deliver = w.heldBuf[:0], w.deliverBuf[:0]
+	return w
 }
 
-// putWorm resets w (dropping its Transfer reference and path, keeping
-// the held and deliver capacity) and returns it to the free pool. Only
-// finishWorm and dropWorm may call it: by then every calendar record
-// referencing w has fired — park timeouts reference a token, not the
-// worm, exactly so a drop cannot race a stale timeout.
+// putWorm resets w (dropping its Transfer reference and path, handing
+// its spill buffers back and pointing it at its inline store again)
+// and returns it to the network's free list. Only finishWorm and
+// dropWorm may call it: by then every calendar record referencing w
+// has fired — park timeouts reference a token, not the worm, exactly
+// so a drop cannot race a stale timeout.
 func (n *Network) putWorm(w *worm) {
-	w.net = nil
+	n.heldSpill.put(w.held)
+	n.deliverSpill.put(w.deliver)
 	w.t = nil
 	w.cur, w.dst = 0, 0
-	w.held = w.held[:0]
-	w.deliver = w.deliver[:0]
+	w.held, w.deliver = w.heldBuf[:0], w.deliverBuf[:0]
 	w.path = nil
 	w.relCur, w.delCur = 0, 0
 	w.waiting = topology.InvalidChannel
@@ -115,8 +117,44 @@ func (n *Network) putWorm(w *worm) {
 	w.vcPol = nil
 	w.chApp = nil
 	w.activePrev, w.activeNext = nil, nil
-	wormPool.Put(w)
+	n.freeWorms = append(n.freeWorms, w)
 }
+
+// spillLists are a network's free spill buffers for one per-hop slice
+// type: entry k holds those of capacity wormInline<<(k+1). The buffers
+// hold no pointers, so a free one keeps nothing else alive.
+type spillLists[T hold | int32] [][][]T
+
+// grow returns a buffer of twice b's capacity holding b's elements,
+// taken from the free lists when one is there, and hands b back.
+func (s *spillLists[T]) grow(b []T) []T {
+	k := spillClass(2 * cap(b))
+	for len(*s) <= k {
+		*s = append(*s, nil)
+	}
+	var nb []T
+	if free := (*s)[k]; len(free) > 0 {
+		nb = free[len(free)-1]
+		(*s)[k] = free[:len(free)-1]
+	} else {
+		nb = make([]T, 0, 2*cap(b))
+	}
+	nb = append(nb, b...)
+	s.put(b)
+	return nb
+}
+
+// put hands a spilled buffer back to its free list; a worm's inline
+// array is not a spill buffer and stays with the worm.
+func (s *spillLists[T]) put(b []T) {
+	if cap(b) > wormInline {
+		k := spillClass(cap(b))
+		(*s)[k] = append((*s)[k], b[:0])
+	}
+}
+
+// spillClass is the free-list index of spill capacity c.
+func spillClass(c int) int { return bits.Len(uint(c/wormInline)) - 2 }
 
 // Prebuilt event bodies: the network schedules (func, worm) records,
 // never closures, so the per-hop scheduling path does not allocate.
@@ -237,16 +275,14 @@ func (n *Network) Send(start sim.Time, t *Transfer) error {
 		return fmt.Errorf("network: transfer %q needs a selector on topology %s", t.Tag, n.topo.Name())
 	}
 	w := n.getWorm()
-	w.net = n
 	w.t = t
 	w.cur = t.Source
 	w.dst = t.Waypoints[0]
 	if t.OnPath != nil {
 		// A non-nil path is acquire's signal to record the header's
-		// nodes; a pooled worm's path is nil (putWorm).
+		// nodes; a recycled worm's path is nil (putWorm).
 		w.path = append(w.path, t.Source)
 	}
-	w.waiting = topology.InvalidChannel
 	sel := t.Selector
 	if sel == nil {
 		sel = n.dor
@@ -309,6 +345,9 @@ func (n *Network) advance(w *worm) {
 	// waypoint in a row; dst caches the next one, and only a hit reads
 	// the transfer.
 	if w.cur == w.dst {
+		if len(w.deliver) == cap(w.deliver) {
+			w.deliver = n.deliverSpill.grow(w.deliver)
+		}
 		w.deliver = append(w.deliver, int32(len(w.held)))
 		if wps := w.t.Waypoints; len(w.deliver) < len(wps) {
 			w.dst = wps[len(w.deliver)]
@@ -427,6 +466,9 @@ func (n *Network) acquire(w *worm, next topology.NodeID, ch topology.ChannelID) 
 	}
 	st.acquires++
 	w.waiting = topology.InvalidChannel
+	if len(w.held) == cap(w.held) {
+		w.held = n.heldSpill.grow(w.held)
+	}
 	w.held = append(w.held, hold{ch, n.sim.Now()})
 	if w.path != nil {
 		w.path = append(w.path, next)
